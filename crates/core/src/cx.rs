@@ -92,20 +92,20 @@ pub fn extract_common_cubes(
             let row = &m.rows()[r];
             by_node.entry(row.node).or_default().push(row.cube.clone());
         }
+        // Every support row is a cube of its node's current function:
+        // the matrix was built from those functions this pass.
         for (node, covered) in by_node {
-            let f = nw.func(node);
-            let rewritten = f.iter().map(|c| {
-                if covered.contains(c) {
+            let additions: Vec<Cube> = covered
+                .iter()
+                .map(|c| {
                     c.quotient(&best.cube)
                         .expect("support row is divisible")
                         .product(&x_cube)
                         .expect("fresh variable")
-                } else {
-                    c.clone()
-                }
-            });
-            let f_new = Sop::from_cubes(rewritten);
-            nw.set_func(node, f_new).expect("node exists");
+                })
+                .collect();
+            nw.func_mut(node)
+                .substitute(|c| covered.contains(c), additions);
         }
         targets.push(x);
         report.extractions += 1;

@@ -254,7 +254,7 @@ impl Worker<'_> {
     fn apply_shipped(&mut self, rect: ShippedRect) {
         for row in &rect.rows {
             debug_assert!(self.owns(row.node));
-            let Some(f) = self.funcs.get(&row.node).cloned() else {
+            let Some(f) = self.funcs.get(&row.node) else {
                 continue;
             };
             // Kernel-cost-zero profitability (§5.3): a cube counts its
@@ -287,13 +287,10 @@ impl Worker<'_> {
                     .cokernel
                     .product(&x_cube)
                     .expect("fresh extraction variable");
-                let f_new = Sop::from_cubes(
-                    f.iter()
-                        .filter(|c| !present.contains(c))
-                        .cloned()
-                        .chain(std::iter::once(replacement)),
-                );
-                self.funcs.insert(row.node, f_new);
+                self.funcs
+                    .get_mut(&row.node)
+                    .expect("checked above")
+                    .substitute(|c| present.contains(&c), [replacement]);
                 true
             } else if present.is_empty() && self.cfg.division_recheck {
                 // The initiator's view was completely stale — nothing of
@@ -303,7 +300,7 @@ impl Worker<'_> {
                 false
             } else {
                 // Divide the existing representation instead.
-                let div = divide(&f, &rect.kernel);
+                let div = divide(f, &rect.kernel);
                 if div.quotient.is_zero() {
                     false
                 } else {
@@ -557,14 +554,10 @@ impl Worker<'_> {
         // Divide my own rows immediately.
         let my_nodes: Vec<u32> = mine.keys().copied().collect();
         for (node, (covered, additions)) in mine {
-            let f = self.funcs[&node].clone();
-            let f_new = Sop::from_cubes(
-                f.iter()
-                    .filter(|c| !covered.contains(c))
-                    .cloned()
-                    .chain(additions),
-            );
-            self.funcs.insert(node, f_new);
+            self.funcs
+                .get_mut(&node)
+                .expect("own node")
+                .substitute(|c| covered.contains(c), additions);
             if self.node_owner.contains_key(&node) {
                 self.rewritten.push(node);
             }

@@ -32,7 +32,7 @@ use pf_partition::{partition_network, PartitionConfig};
 use pf_sop::fx::FxHashMap;
 use pf_sop::{Cube, Lit, Sop};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Options for [`lshaped_extract_cubes`].
@@ -181,7 +181,7 @@ impl CxWorker<'_> {
         let x_cube = Cube::single(pf_sop::Var::new(msg.x_var).lit());
         for row in &msg.rows {
             debug_assert!(self.owns(row.node));
-            let Some(f) = self.funcs.get(&row.node).cloned() else {
+            let Some(f) = self.funcs.get_mut(&row.node) else {
                 continue;
             };
             // §5.3 analogue: only rewrite what is still present.
@@ -193,13 +193,7 @@ impl CxWorker<'_> {
                 .quotient(&msg.common)
                 .and_then(|rest| rest.product(&x_cube));
             let Some(new_cube) = rewritten else { continue };
-            let f_new = Sop::from_cubes(
-                f.iter()
-                    .filter(|c| *c != &row.cube)
-                    .cloned()
-                    .chain(std::iter::once(new_cube)),
-            );
-            self.funcs.insert(row.node, f_new);
+            f.substitute(|c| *c == row.cube, [new_cube]);
             if self.node_owner.contains_key(&row.node) {
                 self.rewritten.push(row.node);
             }
@@ -254,7 +248,7 @@ impl CxWorker<'_> {
         for (&r, &id) in kept.iter().zip(claimed.iter()) {
             let (node, cube) = row_src[r].clone();
             if self.owns(node) {
-                let f = self.funcs[&node].clone();
+                let f = self.funcs.get_mut(&node).expect("own node");
                 if !f.contains_cube(&cube) {
                     continue;
                 }
@@ -264,13 +258,7 @@ impl CxWorker<'_> {
                 else {
                     continue;
                 };
-                let f_new = Sop::from_cubes(
-                    f.iter()
-                        .filter(|c| *c != &cube)
-                        .cloned()
-                        .chain(std::iter::once(new_cube)),
-                );
-                self.funcs.insert(node, f_new);
+                f.substitute(|c| *c == cube, [new_cube]);
                 if self.node_owner.contains_key(&node) {
                     self.rewritten.push(node);
                 }
@@ -419,54 +407,64 @@ pub fn lshaped_extract_cubes(nw: &mut Network, cfg: &LShapedCxConfig) -> Extract
     }
     let setup_elapsed = start.elapsed();
 
-    let results: Vec<(WorkerResult, usize, i64, usize)> = if cfg.sequential {
-        loop {
-            let mut progress = false;
-            for w in &mut workers {
-                progress |= w.drain_queue();
-                progress |= w.try_extract();
-            }
-            if !progress && transport.all_drained() {
-                break;
-            }
-        }
-        workers.into_iter().map(CxWorker::into_result).collect()
-    } else {
-        type Done = (WorkerResult, usize, i64, usize);
-        let out: Mutex<Vec<(usize, Done)>> = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for mut w in workers {
-                let out = &out;
-                s.spawn(move || {
-                    let pid = w.pid as usize;
-                    let mut is_idle = false;
-                    loop {
-                        let progress = w.drain_queue() | w.try_extract();
-                        if progress {
-                            if is_idle {
-                                is_idle = false;
-                                w.transport.idle.fetch_sub(1, Ordering::SeqCst);
+    if !cfg.sequential {
+        let stop = AtomicBool::new(false);
+        workers = std::thread::scope(|s| {
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|mut w| {
+                    let stop = &stop;
+                    s.spawn(move || {
+                        let mut is_idle = false;
+                        while !stop.load(Ordering::SeqCst) {
+                            let progress = w.drain_queue() | w.try_extract();
+                            if progress {
+                                if is_idle {
+                                    is_idle = false;
+                                    w.transport.idle.fetch_sub(1, Ordering::SeqCst);
+                                }
+                                continue;
                             }
-                            continue;
+                            if !is_idle {
+                                is_idle = true;
+                                w.transport.idle.fetch_add(1, Ordering::SeqCst);
+                            }
+                            if w.transport.idle.load(Ordering::SeqCst) == p
+                                && w.transport.all_drained()
+                            {
+                                stop.store(true, Ordering::SeqCst);
+                            } else {
+                                std::thread::sleep(std::time::Duration::from_micros(200));
+                            }
                         }
-                        if !is_idle {
-                            is_idle = true;
-                            w.transport.idle.fetch_add(1, Ordering::SeqCst);
-                        }
-                        if w.transport.idle.load(Ordering::SeqCst) == p && w.transport.all_drained()
-                        {
-                            break;
-                        }
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    out.lock().push((pid, w.into_result()));
-                });
-            }
+                        w
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("L-cx worker panicked"))
+                .collect()
         });
-        let mut v = out.into_inner();
-        v.sort_by_key(|(pid, _)| *pid);
-        v.into_iter().map(|(_, r)| r).collect()
-    };
+    }
+    // Round-robin to quiescence: the whole run in sequential mode, and
+    // the leftovers of a threaded one. "Everyone idle" is not final
+    // there: a worker whose claim failed can succeed once another
+    // releases its claims, and may ship rows to a worker that already
+    // stopped. Those messages are processed here instead of leaving the
+    // sender waiting forever for them to drain.
+    loop {
+        let mut progress = false;
+        for w in &mut workers {
+            progress |= w.drain_queue();
+            progress |= w.try_extract();
+        }
+        if !progress && transport.all_drained() {
+            break;
+        }
+    }
+    let results: Vec<(WorkerResult, usize, i64, usize)> =
+        workers.into_iter().map(CxWorker::into_result).collect();
     let extract_elapsed = start.elapsed().saturating_sub(setup_elapsed);
 
     let mut extractions = 0;

@@ -18,12 +18,12 @@ use pf_kcmatrix::{
     best_rectangle_with_seed, best_rectangles_pooled, best_rectangles_pooled_with,
     best_rectangles_seeded, best_rectangles_with_seed, revalidate_rectangle,
     select_prefix_nonconflicting, CeilingSnapshot, CeilingUpdate, ColIdx, CubeRegistry, KcMatrix,
-    LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
+    KcRow, LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
 };
 use pf_network::{Network, SignalId};
-use pf_sop::fx::{FxHashMap, FxHashSet};
+use pf_sop::fx::FxHashMap;
 use pf_sop::kernel::KernelConfig;
-use pf_sop::{Cube, Sop};
+use pf_sop::Cube;
 use std::time::Instant;
 
 /// Options for the sequential extractor.
@@ -482,36 +482,33 @@ impl Engine {
             .expect("extracted node name is fresh");
         let x_lit = nw.var(x).lit();
 
-        // Group chosen rows by node: covered cubes (hashed — the filter
-        // below probes once per remaining cube) and replacement cubes.
-        let mut by_node: FxHashMap<SignalId, (FxHashSet<Cube>, Vec<Cube>)> = FxHashMap::default();
+        // Group chosen rows by node, then rewrite each node once: a cube
+        // is covered when it is one of its rows' co-kernels times one of
+        // the rectangle's kernel cubes, and each row adds co-kernel·x.
+        let mut by_node: FxHashMap<SignalId, Vec<&KcRow>> = FxHashMap::default();
         for &r in &rect.rows {
             let row = &self.matrix.rows()[r];
-            let entry = by_node.entry(row.node).or_default();
-            for &c in &rect.cols {
-                let covered = row
-                    .cokernel
-                    .product(&self.matrix.cols()[c].cube)
-                    .expect("disjoint by construction");
-                entry.0.insert(covered);
-            }
-            entry.1.push(
-                row.cokernel
-                    .product(&Cube::single(x_lit))
-                    .expect("fresh variable"),
-            );
+            by_node.entry(row.node).or_default().push(row);
         }
-
+        let kernel_cubes: Vec<&Cube> = rect
+            .cols
+            .iter()
+            .map(|&c| &self.matrix.cols()[c].cube)
+            .collect();
+        let x_cube = Cube::single(x_lit);
         let mut affected: Vec<SignalId> = Vec::with_capacity(by_node.len());
-        for (node, (covered, additions)) in by_node {
-            let f = nw.func(node);
-            let remaining = f
+        for (node, rows) in by_node {
+            let covered = |c: &Cube| {
+                rows.iter().any(|row| {
+                    kernel_cubes
+                        .iter()
+                        .any(|k| c.is_product_of(&row.cokernel, k))
+                })
+            };
+            let additions = rows
                 .iter()
-                .filter(|c| !covered.contains(*c))
-                .cloned()
-                .chain(additions);
-            let f_new = Sop::from_cubes(remaining);
-            nw.set_func(node, f_new).expect("node exists");
+                .map(|row| row.cokernel.product(&x_cube).expect("fresh variable"));
+            nw.func_mut(node).substitute(covered, additions);
             affected.push(node);
         }
 
@@ -522,10 +519,9 @@ impl Engine {
         // and values are all untouched — so their ceilings stay sound.
         let rows_before = self.matrix.rows().len();
         if self.pool.is_some() {
-            let nodes: FxHashSet<SignalId> = affected.iter().copied().collect();
-            for row in self.matrix.rows() {
-                if row.alive && nodes.contains(&row.node) {
-                    for &(c, _) in &row.entries {
+            for &n in &affected {
+                for &r in self.matrix.node_rows(n) {
+                    for &(c, _) in &self.matrix.rows()[r].entries {
                         self.dirty_cols.push(c);
                     }
                 }

@@ -71,10 +71,11 @@ pub struct KcRow {
     /// **Invariant:** strictly sorted by column index (no duplicates).
     /// Every constructor sorts + dedups before insertion and
     /// [`KcMatrix::push_row`] checks it in debug builds; [`KcRow::entry`]
-    /// binary-searches on the strength of it. Mutators that rebuild rows
-    /// (e.g. Algorithm L's `rebuild_node_rows`) go through
-    /// `remove_node_rows` + `add_node_kernels`, so the invariant holds
-    /// matrix-wide for the row's whole life.
+    /// binary-searches on the strength of it. Rows are never edited in
+    /// place: a node whose function changed is refreshed by
+    /// `remove_node_rows` (which finds the node's alive rows through the
+    /// matrix's per-node row index, not a scan) + `add_node_kernels`, so
+    /// the invariant holds matrix-wide for the row's whole life.
     pub entries: Vec<(ColIdx, CubeId)>,
     /// Tombstone flag; dead rows are skipped by every search.
     pub alive: bool,
@@ -107,6 +108,9 @@ pub struct KcMatrix {
     rows: Vec<KcRow>,
     cols: Vec<KcCol>,
     col_by_cube: FxHashMap<Cube, ColIdx>,
+    /// Alive rows of each node, sorted: kept by `push_row` and
+    /// `tombstone_row`, so refreshing a node touches only its own rows.
+    rows_by_node: FxHashMap<u32, Vec<RowIdx>>,
 }
 
 impl KcMatrix {
@@ -123,6 +127,11 @@ impl KcMatrix {
     /// All columns.
     pub fn cols(&self) -> &[KcCol] {
         &self.cols
+    }
+
+    /// The alive rows of `node`, in ascending row order.
+    pub fn node_rows(&self, node: u32) -> &[RowIdx] {
+        self.rows_by_node.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// Number of alive rows.
@@ -229,6 +238,7 @@ impl KcMatrix {
                 Err(pos) => rows.insert(pos, idx),
             }
         }
+        self.rows_by_node.entry(row.node).or_default().push(idx);
         self.rows.push(row);
         idx
     }
@@ -259,31 +269,41 @@ impl KcMatrix {
             .collect()
     }
 
-    /// Tombstones a single row and scrubs it from the column row-lists.
-    /// Only the columns the row actually occupies are touched (the
-    /// sorted-entries invariant tells us exactly which those are).
+    /// Tombstones a single row and scrubs it from the column row-lists
+    /// and its node's row index. Only the columns the row actually
+    /// occupies are touched (the sorted-entries invariant tells us
+    /// exactly which those are).
     pub fn tombstone_row(&mut self, idx: RowIdx) {
         if !self.rows[idx].alive {
             return;
         }
-        self.rows[idx].alive = false;
-        for e in 0..self.rows[idx].entries.len() {
-            let c = self.rows[idx].entries[e].0;
-            let rows = &mut self.cols[c].rows;
+        if let Some(rows) = self.rows_by_node.get_mut(&self.rows[idx].node) {
             if let Ok(pos) = rows.binary_search(&idx) {
                 rows.remove(pos);
             }
         }
+        self.scrub_row(idx);
     }
 
     /// Tombstones every row belonging to `node` (after the node's
-    /// function changed) and scrubs the column row-lists.
+    /// function changed) and scrubs the column row-lists. Costs the
+    /// node's own rows, whatever the size of the matrix.
     pub fn remove_node_rows(&mut self, node: u32) {
-        let removed: Vec<RowIdx> = (0..self.rows.len())
-            .filter(|&i| self.rows[i].alive && self.rows[i].node == node)
-            .collect();
-        for i in removed {
-            self.tombstone_row(i);
+        for idx in self.rows_by_node.remove(&node).unwrap_or_default() {
+            self.scrub_row(idx);
+        }
+    }
+
+    /// Marks an alive row dead and removes it from its columns' row
+    /// lists (the node index is the caller's to update).
+    fn scrub_row(&mut self, idx: RowIdx) {
+        let row = &mut self.rows[idx];
+        row.alive = false;
+        for &(c, _) in &row.entries {
+            let rows = &mut self.cols[c].rows;
+            if let Ok(pos) = rows.binary_search(&idx) {
+                rows.remove(pos);
+            }
         }
     }
 
@@ -508,8 +528,13 @@ mod tests {
             &mut cl,
         );
         let before = m.num_alive_rows();
+        assert_eq!(m.node_rows(9), &[0, 1, 2, 3]);
+        m.tombstone_row(1);
+        assert_eq!(m.node_rows(9), &[0, 2, 3]);
         m.remove_node_rows(9);
         assert_eq!(m.num_alive_rows(), before - 4);
+        assert!(m.node_rows(9).is_empty());
+        assert_eq!(m.node_rows(8).len(), before - 4);
         for col in m.cols() {
             for &r in &col.rows {
                 assert!(m.rows()[r].alive);

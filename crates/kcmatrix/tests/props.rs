@@ -562,4 +562,80 @@ proptest! {
             prop_assert_ne!(row.node, 0);
         }
     }
+
+    /// The per-node row index and the column row lists track a shadow
+    /// model of which rows are alive under any sequence of row additions,
+    /// single tombstones and whole-node removals: `node_rows(n)` is the
+    /// sorted alive rows of `n`, and every column lists exactly the
+    /// sorted alive rows with an entry in it.
+    #[test]
+    fn node_index_tracks_alive_rows(
+        ops in prop::collection::vec(
+            (0u8..4, 0u32..4, any::<usize>(), arb_sop(6, 3, 5)),
+            1..24,
+        ),
+    ) {
+        let reg = CubeRegistry::new();
+        let mut m = KcMatrix::new();
+        let mut rl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
+        let mut cl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
+        // Shadow model: (node, alive) per row index.
+        let mut model: Vec<(u32, bool)> = Vec::new();
+        for (op, node, pick, func) in ops {
+            match op {
+                0 => {
+                    let added = m.add_node_kernels(
+                        node,
+                        &func,
+                        &KernelConfig::default(),
+                        &reg,
+                        &mut rl,
+                        &mut cl,
+                    );
+                    for r in added {
+                        prop_assert_eq!(r, model.len());
+                        model.push((node, true));
+                    }
+                }
+                1 => {
+                    let entries: Vec<(Cube, u32)> = func
+                        .iter()
+                        .map(|c| (c.clone(), reg.intern(node, c)))
+                        .collect();
+                    let cokernel = Cube::single(Lit::pos(10 + node));
+                    let r = m.add_row_with_entries(rl.next(), node, cokernel, entries, &mut cl);
+                    prop_assert_eq!(r, model.len());
+                    model.push((node, true));
+                }
+                2 => {
+                    if !model.is_empty() {
+                        let r = pick % model.len();
+                        m.tombstone_row(r);
+                        model[r].1 = false;
+                    }
+                }
+                _ => {
+                    m.remove_node_rows(node);
+                    for row in model.iter_mut().filter(|row| row.0 == node) {
+                        row.1 = false;
+                    }
+                }
+            }
+            for n in 0..4u32 {
+                let want: Vec<usize> = (0..model.len())
+                    .filter(|&r| model[r] == (n, true))
+                    .collect();
+                prop_assert_eq!(m.node_rows(n), &want[..], "node {}", n);
+            }
+            for (r, row) in m.rows().iter().enumerate() {
+                prop_assert_eq!(row.alive, model[r].1, "row {}", r);
+            }
+            for (c, col) in m.cols().iter().enumerate() {
+                let want: Vec<usize> = (0..model.len())
+                    .filter(|&r| model[r].1 && m.rows()[r].entry(c).is_some())
+                    .collect();
+                prop_assert_eq!(&col.rows, &want, "column {}", c);
+            }
+        }
+    }
 }

@@ -195,6 +195,18 @@ impl Network {
         &self.funcs[id as usize]
     }
 
+    /// A node's function, for in-place rewrites such as
+    /// [`Sop::substitute`]. Panics on a primary input, like
+    /// [`Network::func`].
+    pub fn func_mut(&mut self, id: SignalId) -> &mut Sop {
+        assert_eq!(
+            self.kinds[id as usize],
+            SignalKind::Node,
+            "signal {id} is a primary input"
+        );
+        &mut self.funcs[id as usize]
+    }
+
     /// Replaces the function of a node.
     pub fn set_func(&mut self, id: SignalId, func: Sop) -> Result<(), NetworkError> {
         self.check_id(id)?;

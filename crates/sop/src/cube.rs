@@ -186,6 +186,26 @@ impl Cube {
         Some(Cube { lits: out })
     }
 
+    /// Whether this cube is the product `a · b` of two literal-disjoint
+    /// cubes — one merge walk, nothing allocated. Disjointness is the
+    /// caller's guarantee (co-kernel and kernel cube always are).
+    pub fn is_product_of(&self, a: &Cube, b: &Cube) -> bool {
+        if self.lits.len() != a.lits.len() + b.lits.len() {
+            return false;
+        }
+        let (mut i, mut j) = (0, 0);
+        for &l in &self.lits {
+            if a.lits.get(i) == Some(&l) {
+                i += 1;
+            } else if b.lits.get(j) == Some(&l) {
+                j += 1;
+            } else {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Whether the two cubes share at least one literal.
     pub fn intersects(&self, other: &Cube) -> bool {
         let (mut i, mut j) = (0, 0);

@@ -182,6 +182,50 @@ impl Sop {
         )
     }
 
+    /// The rewrite every extraction applies to a node, in place: drops
+    /// the cubes `covered` accepts and merges in `additions`. The result
+    /// equals [`Sop::from_cubes`] over the surviving and added cubes
+    /// (checked in debug builds).
+    ///
+    /// The survivors are a subset of a containment-minimal expression,
+    /// so only pairs involving an addition can contain each other: the
+    /// containment pass costs `|additions| · |self|` where `from_cubes`
+    /// costs `|self|²`, and no surviving cube is copied.
+    pub fn substitute(
+        &mut self,
+        covered: impl Fn(&Cube) -> bool,
+        additions: impl IntoIterator<Item = Cube>,
+    ) {
+        let mut adds: Vec<Cube> = additions.into_iter().collect();
+        #[cfg(debug_assertions)]
+        let expected = Sop::from_cubes(
+            self.cubes
+                .iter()
+                .filter(|c| !covered(c))
+                .chain(&adds)
+                .cloned(),
+        );
+        self.cubes.retain(|c| !covered(c));
+        // A survivor divisible by an addition is absorbed by it.
+        if !adds.is_empty() {
+            self.cubes
+                .retain(|s| !adds.iter().any(|a| a != s && s.divisible_by(a)));
+        }
+        // A cube is only divisible by a shorter one (or itself), so going
+        // shortest-first every addition meets all its possible divisors
+        // already in place; a duplicate meets itself.
+        adds.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        for a in adds {
+            if let Err(pos) = self.cubes.binary_search(&a) {
+                if !self.cubes.iter().any(|d| a.divisible_by(d)) {
+                    self.cubes.insert(pos, a);
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(*self, expected, "substitute must agree with from_cubes");
+    }
+
     /// All distinct literals occurring in the expression, sorted.
     pub fn support_lits(&self) -> Vec<Lit> {
         let mut lits: Vec<Lit> = self.cubes.iter().flat_map(|c| c.iter()).collect();

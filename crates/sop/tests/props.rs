@@ -162,4 +162,46 @@ proptest! {
         prop_assert!(div.remainder.literal_count() <= f.literal_count());
         prop_assert!(div.remainder.num_cubes() <= f.num_cubes());
     }
+
+    /// `substitute` agrees with canonicalizing the rewritten cube list,
+    /// whatever the overlap: covered cubes absent from `f`, additions
+    /// that duplicate, divide or are divided by surviving cubes.
+    #[test]
+    fn substitute_matches_from_cubes(
+        f in arb_sop(8, 4, 10),
+        keep in prop::collection::vec(any::<bool>(), 10),
+        stray in prop::collection::vec(arb_cube(8, 3), 0..=2),
+        additions in prop::collection::vec(arb_cube(8, 4), 0..=4),
+    ) {
+        let covered: Vec<Cube> = f
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &k)| !k)
+            .map(|(c, _)| c.clone())
+            .chain(stray)
+            .collect();
+        let expected = Sop::from_cubes(
+            f.iter()
+                .filter(|c| !covered.contains(c))
+                .cloned()
+                .chain(additions.iter().cloned()),
+        );
+        let mut g = f.clone();
+        g.substitute(|c| covered.contains(c), additions);
+        prop_assert_eq!(g, expected);
+    }
+
+    /// `is_product_of` recognizes exactly the product of two disjoint
+    /// cubes, without forming it.
+    #[test]
+    fn is_product_of_matches_product(
+        a in arb_cube(6, 3),
+        b in prop::collection::btree_set(6u32..12, 0..=3usize),
+        c in arb_cube(12, 5),
+    ) {
+        let b = Cube::from_lits(b.into_iter().map(Lit::pos));
+        let ab = a.product(&b).expect("disjoint variables");
+        prop_assert!(ab.is_product_of(&a, &b));
+        prop_assert_eq!(c.is_product_of(&a, &b), c == ab);
+    }
 }
