@@ -11,7 +11,7 @@ use pf_core::{
     extract_kernels, independent_extract, lshaped_extract, ExtractConfig, FaultPlan, FaultRule,
     IndependentConfig, LShapedConfig, RunCtl,
 };
-use pf_kcmatrix::{best_rectangle, CubeRegistry, KcMatrix, LabelGen, SearchConfig};
+use pf_kcmatrix::{search, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig};
 use pf_network::sim::simulate;
 use pf_partition::{partition_network, PartitionConfig};
 use pf_sop::kernel::{kernels, KernelConfig};
@@ -83,18 +83,22 @@ fn matrix(c: &mut Criterion) {
         );
     }
     let w = reg.weights_snapshot();
+    let value_of = |id: u32| w[id as usize];
+    let model = CostModel::area(&value_of);
     c.bench_function("rectangle/best_full", |b| {
-        b.iter(|| best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default()))
+        b.iter(|| search(&m, &model, &SearchConfig::default(), None, None))
     });
     c.bench_function("rectangle/best_striped", |b| {
         b.iter(|| {
-            best_rectangle(
+            search(
                 &m,
-                &|id| w[id as usize],
+                &model,
                 &SearchConfig {
                     stripe: Some((0, 4)),
                     ..SearchConfig::default()
                 },
+                None,
+                None,
             )
         })
     });

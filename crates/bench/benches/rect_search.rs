@@ -1,14 +1,14 @@
 //! Criterion benchmarks for the rectangle-search core: the legacy
-//! `Vec<RowIdx>` reference engine vs. the dense `RowSet` bitset engine
-//! on the scaled dalu matrix, and the parallel engine at 1/2/4/8
-//! threads on the full-scale matrix.
+//! `Vec<RowIdx>` reference engine vs. the tiled bitset engine on the
+//! scaled dalu matrix, and the parallel engine at 1/2/4/8 threads on the
+//! full-scale matrix.
 //!
 //! These back the numbers in `BENCH_rect.json` (refresh that file with
 //! `parafactor bench-json`); run them directly with
 //! `cargo bench --bench rect_search`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pf_kcmatrix::{best_rectangle, reference, CubeRegistry, KcMatrix, LabelGen, SearchConfig};
+use pf_kcmatrix::{reference, search, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig};
 use pf_sop::kernel::KernelConfig;
 use pf_workloads::{generate, profile_by_name, scale_profile};
 use std::hint::black_box;
@@ -40,18 +40,20 @@ fn dalu_matrix(scale: f64) -> (KcMatrix, Vec<u32>) {
 /// Vec reference engine vs. bitset engine, one full search each.
 fn vec_vs_bitset(c: &mut Criterion) {
     let (m, w) = dalu_matrix(0.35);
+    let value_of = |id: u32| w[id as usize];
+    let model = CostModel::area(&value_of);
     let cfg = SearchConfig::default();
     let mut g = c.benchmark_group("rect_search");
     g.sample_size(15);
     g.bench_function("vec", |b| {
         b.iter(|| {
-            let (best, _) = reference::best_rectangle(&m, &|id| w[id as usize], &cfg);
+            let (best, _) = reference::search(&m, &model, &cfg);
             black_box(best)
         })
     });
     g.bench_function("bitset", |b| {
         b.iter(|| {
-            let (best, _) = best_rectangle(&m, &|id| w[id as usize], &cfg);
+            let (best, _) = search(&m, &model, &cfg, None, None);
             black_box(best)
         })
     });
@@ -59,14 +61,16 @@ fn vec_vs_bitset(c: &mut Criterion) {
 }
 
 /// The parallel engine at increasing thread counts on the full-scale
-/// matrix (thread count 0 is the classic sequential bitset path).
+/// matrix (thread count 0 is the classic sequential path).
 fn parallel_threads(c: &mut Criterion) {
     let (m, w) = dalu_matrix(1.0);
+    let value_of = |id: u32| w[id as usize];
+    let model = CostModel::area(&value_of);
     let mut g = c.benchmark_group("par_search");
     g.sample_size(10);
     g.bench_function("seq", |b| {
         b.iter(|| {
-            let (best, _) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+            let (best, _) = search(&m, &model, &SearchConfig::default(), None, None);
             black_box(best)
         })
     });
@@ -77,7 +81,7 @@ fn parallel_threads(c: &mut Criterion) {
         };
         g.bench_with_input(BenchmarkId::from_parameter(threads), &cfg, |b, cfg| {
             b.iter(|| {
-                let (best, _) = best_rectangle(&m, &|id| w[id as usize], cfg);
+                let (best, _) = search(&m, &model, cfg, None, None);
                 black_box(best)
             })
         });

@@ -41,8 +41,8 @@ use crate::trace::Lane;
 use parking_lot::Mutex;
 use pf_kcmatrix::registry::ConcurrentCubeStates;
 use pf_kcmatrix::{
-    best_rectangles_pooled, best_rectangles_seeded, select_nonconflicting, CeilingUpdate, CubeId,
-    CubeRegistry, CubeState, KcMatrix, LabelGen, ProcId, Rectangle, SearchConfig, SearchPool,
+    search, select_nonconflicting, CeilingUpdate, CostModel, CubeId, CubeRegistry, CubeState,
+    KcMatrix, LabelGen, ProcId, Rectangle, SearchConfig, SearchPool,
 };
 use pf_network::{Network, SignalId};
 use pf_partition::{partition_network, PartitionConfig};
@@ -354,25 +354,16 @@ impl Worker<'_> {
             states.value_for(id, w, pid)
         };
         let pass = self.lane.start("search");
-        // Plural search: the canonical top `search.topk` (the classic
-        // single winner when `topk ≤ 1` — the singular entry points are
-        // thin wrappers over the same plural engine).
-        let (rects, stats) = match self.pool.as_mut() {
-            Some(pool) => best_rectangles_pooled(
-                &self.matrix,
-                &value_of,
-                &search_cfg,
-                self.prev_best.as_ref(),
-                pool,
-                CeilingUpdate::Off,
-            ),
-            None => best_rectangles_seeded(
-                &self.matrix,
-                &value_of,
-                &search_cfg,
-                self.prev_best.as_ref(),
-            ),
-        };
+        // The canonical top `search.topk` (the classic single winner
+        // when `topk ≤ 1`). Ceilings stay off: COVERED→FREE releases
+        // can raise cube values between passes.
+        let (rects, stats) = search(
+            &self.matrix,
+            &CostModel::area(&value_of),
+            &search_cfg,
+            self.prev_best.as_ref(),
+            self.pool.as_mut().map(|pool| (pool, CeilingUpdate::Off)),
+        );
         self.passes += 1;
         self.budget_exhausted |= stats.budget_exhausted;
         crate::seq::end_search_span(&mut self.lane, pass, rects.first(), &stats);

@@ -136,11 +136,9 @@ pub fn replicated_extract(nw: &mut Network, cfg: &ReplicatedConfig) -> ExtractRe
                 let mut total_value = 0i64;
                 loop {
                     let pass = lane.start("search");
-                    // The plural search: the per-stripe canonical top-K
-                    // (the classic single candidate when `topk ≤ 1` —
-                    // the singular entry points are thin wrappers over
-                    // the same plural engine).
-                    let (rects, stats) = engine.search_batch(Some((pid as u32, p as u32)));
+                    // The per-stripe canonical top-K (the classic single
+                    // candidate when `topk ≤ 1`).
+                    let (rects, stats) = engine.search(Some((pid as u32, p as u32)));
                     if stats.budget_exhausted {
                         exhausted_any.store(true, Ordering::Relaxed);
                     }

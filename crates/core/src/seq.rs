@@ -12,13 +12,10 @@ use crate::ctl::RunCtl;
 use crate::report::{ExtractReport, PhaseTiming};
 use crate::trace::{Lane, Tracer};
 use pf_cache::WarmStart;
-use pf_kcmatrix::rectangle::CostModel;
 use pf_kcmatrix::{
-    best_rectangle_pooled, best_rectangle_pooled_with, best_rectangle_seeded,
-    best_rectangle_with_seed, best_rectangles_pooled, best_rectangles_pooled_with,
-    best_rectangles_seeded, best_rectangles_with_seed, revalidate_rectangle,
-    select_prefix_nonconflicting, CeilingSnapshot, CeilingUpdate, ColIdx, CubeRegistry, KcMatrix,
-    KcRow, LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
+    revalidate_rectangle, search, select_prefix_nonconflicting, CeilingSnapshot, CeilingUpdate,
+    ColIdx, CostModel, CubeId, CubeRegistry, KcMatrix, KcRow, LabelGen, Rectangle, SearchConfig,
+    SearchPool, SearchStats,
 };
 use pf_network::{Network, SignalId};
 use pf_sop::fx::FxHashMap;
@@ -282,7 +279,7 @@ impl Engine {
 
     /// The pool's `tile` phase counters: full panel (re)builds and
     /// incrementally re-encoded columns so far. `(0, 0)` for a pool-less
-    /// engine or `tile_width == 0`.
+    /// engine.
     pub fn tile_counters(&self) -> (u64, u64) {
         self.pool
             .as_ref()
@@ -294,126 +291,39 @@ impl Engine {
         &self.matrix
     }
 
-    /// Searches for the best rectangle; `stripe` optionally restricts
-    /// the leftmost column as in Algorithm R. Returns the full
-    /// [`SearchStats`] (visited / pruned / bound-update counters) so
-    /// callers can trace per-pass search behaviour.
-    pub fn search(&mut self, stripe: Option<(u32, u32)>) -> (Option<Rectangle>, SearchStats) {
+    /// Searches for the canonical top `search.topk` rectangles of this
+    /// pass, best-first (the classic single winner when `topk ≤ 1`);
+    /// `stripe` optionally restricts the leftmost column as in
+    /// Algorithm R. Returns the full [`SearchStats`] (visited / pruned /
+    /// bound-update counters) so callers can trace per-pass search
+    /// behaviour.
+    pub fn search(&mut self, stripe: Option<(u32, u32)>) -> (Vec<Rectangle>, SearchStats) {
         let cfg = SearchConfig {
             stripe,
             ..self.cfg.search.clone()
         };
-        let seed = self.prev_best.as_ref();
-        if let Some(pool) = self.pool.as_mut() {
-            // Pooled pass: the first one over this matrix resets the
-            // ceilings; later ones only invalidate the columns `apply`
-            // dirtied, so unchanged leftmost-column subtrees prune from
-            // their surviving ceilings immediately.
-            let update = if self.pool_fresh {
-                CeilingUpdate::Reset
-            } else {
-                CeilingUpdate::Dirty(&self.dirty_cols)
-            };
-            let out = match &self.cfg.objective {
-                None => {
-                    let w = &self.weights;
-                    best_rectangle_pooled(
-                        &self.matrix,
-                        &|id| w[id as usize],
-                        &cfg,
-                        seed,
-                        pool,
-                        update,
-                    )
-                }
-                Some(obj) => {
-                    let wv = &self.wvals;
-                    let model = CostModel {
-                        cube_value: &|id| wv[id as usize],
-                        row_cost: &|cok| obj.row_cost(cok),
-                        col_cost: &|cube| obj.col_cost(cube),
-                    };
-                    best_rectangle_pooled_with(&self.matrix, &model, &cfg, seed, pool, update)
-                }
-            };
-            self.pool_fresh = false;
-            self.dirty_cols.clear();
-            return out;
-        }
-        match &self.cfg.objective {
-            None => {
-                let w = &self.weights;
-                best_rectangle_seeded(&self.matrix, &|id| w[id as usize], &cfg, seed)
-            }
-            Some(obj) => {
-                let wv = &self.wvals;
-                let model = CostModel {
-                    cube_value: &|id| wv[id as usize],
-                    row_cost: &|cok| obj.row_cost(cok),
-                    col_cost: &|cube| obj.col_cost(cube),
-                };
-                best_rectangle_with_seed(&self.matrix, &model, &cfg, seed)
-            }
-        }
-    }
-
-    /// Plural [`Engine::search`]: collects the canonical top
-    /// `search.topk` rectangles of this pass, best-first. Same pooled /
-    /// pool-less dispatch and ceiling bookkeeping as the singular
-    /// search; with `topk ≤ 1` the result is the singular winner alone.
-    pub fn search_batch(&mut self, stripe: Option<(u32, u32)>) -> (Vec<Rectangle>, SearchStats) {
-        let cfg = SearchConfig {
-            stripe,
-            ..self.cfg.search.clone()
+        // Pooled pass: the first one over this matrix resets the
+        // ceilings; later ones only invalidate the columns `apply`
+        // dirtied, so unchanged leftmost-column subtrees prune from
+        // their surviving ceilings immediately.
+        let update = if self.pool_fresh {
+            CeilingUpdate::Reset
+        } else {
+            CeilingUpdate::Dirty(&self.dirty_cols)
         };
-        let seed = self.prev_best.as_ref();
-        if let Some(pool) = self.pool.as_mut() {
-            let update = if self.pool_fresh {
-                CeilingUpdate::Reset
-            } else {
-                CeilingUpdate::Dirty(&self.dirty_cols)
-            };
-            let out = match &self.cfg.objective {
-                None => {
-                    let w = &self.weights;
-                    best_rectangles_pooled(
-                        &self.matrix,
-                        &|id| w[id as usize],
-                        &cfg,
-                        seed,
-                        pool,
-                        update,
-                    )
-                }
-                Some(obj) => {
-                    let wv = &self.wvals;
-                    let model = CostModel {
-                        cube_value: &|id| wv[id as usize],
-                        row_cost: &|cok| obj.row_cost(cok),
-                        col_cost: &|cube| obj.col_cost(cube),
-                    };
-                    best_rectangles_pooled_with(&self.matrix, &model, &cfg, seed, pool, update)
-                }
-            };
+        let pool = self.pool.as_mut().map(|pool| (pool, update));
+        let pooled = pool.is_some();
+        let out = with_model(
+            &self.weights,
+            &self.wvals,
+            self.cfg.objective.as_ref(),
+            |model| search(&self.matrix, model, &cfg, self.prev_best.as_ref(), pool),
+        );
+        if pooled {
             self.pool_fresh = false;
             self.dirty_cols.clear();
-            return out;
         }
-        match &self.cfg.objective {
-            None => {
-                let w = &self.weights;
-                best_rectangles_seeded(&self.matrix, &|id| w[id as usize], &cfg, seed)
-            }
-            Some(obj) => {
-                let wv = &self.wvals;
-                let model = CostModel {
-                    cube_value: &|id| wv[id as usize],
-                    row_cost: &|cok| obj.row_cost(cok),
-                    col_cost: &|cube| obj.col_cost(cube),
-                };
-                best_rectangles_with_seed(&self.matrix, &model, &cfg, seed)
-            }
-        }
+        out
     }
 
     /// Canonical non-conflicting *prefix* of `candidates` against the
@@ -438,23 +348,12 @@ impl Engine {
     /// conflict-rejected candidates after a batch apply without another
     /// search pass.
     pub fn revalidate(&self, rect: &Rectangle) -> Option<Rectangle> {
-        match &self.cfg.objective {
-            None => {
-                let w = &self.weights;
-                let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-                let model = CostModel::area(&value_of);
-                revalidate_rectangle(&self.matrix, &model, &self.cfg.search, rect)
-            }
-            Some(obj) => {
-                let wv = &self.wvals;
-                let model = CostModel {
-                    cube_value: &|id| wv[id as usize],
-                    row_cost: &|cok| obj.row_cost(cok),
-                    col_cost: &|cube| obj.col_cost(cube),
-                };
-                revalidate_rectangle(&self.matrix, &model, &self.cfg.search, rect)
-            }
-        }
+        with_model(
+            &self.weights,
+            &self.wvals,
+            self.cfg.objective.as_ref(),
+            |model| revalidate_rectangle(&self.matrix, model, &self.cfg.search, rect),
+        )
     }
 
     /// Applies a rectangle: creates the kernel node, rewrites every
@@ -613,6 +512,27 @@ impl Engine {
     }
 }
 
+/// Runs `f` under the engine's cost model: the area model over the cube
+/// weights, or the weighted objective over its cached cube values.
+fn with_model<R>(
+    weights: &[u32],
+    wvals: &[u32],
+    objective: Option<&Objective>,
+    f: impl FnOnce(&CostModel<'_>) -> R,
+) -> R {
+    match objective {
+        None => {
+            let value_of = |id: CubeId| weights[id as usize];
+            f(&CostModel::area(&value_of))
+        }
+        Some(obj) => f(&CostModel {
+            cube_value: &|id| wvals[id as usize],
+            row_cost: &|cok| obj.row_cost(cok),
+            col_cost: &|cube| obj.col_cost(cube),
+        }),
+    }
+}
+
 /// Ends a per-pass `search` span, attaching the chosen rectangle's
 /// value/dims and the search counters. Shared by every driver so the
 /// span vocabulary stays identical (docs/OBSERVABILITY.md).
@@ -740,77 +660,81 @@ pub(crate) fn extract_kernels_warm(
     let pool_elapsed = start.elapsed().saturating_sub(matrix_elapsed);
     let cover_span = lane.start("cover");
     let mut first_pass = true;
-    if cfg.search.topk > 1 {
-        // Batched cover: each pass collects the canonical top-K
-        // rectangles, applies the greedy maximal non-conflicting subset
-        // (in canonical order, so quality-ordering is preserved within
-        // the batch), and only then searches again. Fewer passes, same
-        // greedy-first guarantee: the canonical best of each pass is
-        // always selected and applied.
-        while engine.extractions() < cfg.max_extractions {
-            cfg.ctl.fault_point("seq:cover");
-            if report.note_stop(&cfg.ctl) {
-                break;
+    // Batch counters and `batch` events describe top-K batching only;
+    // the one-per-pass cover (`topk = 1`) leaves them at zero.
+    let batching = cfg.search.topk > 1;
+    // Each pass collects the canonical top-K rectangles (the classic
+    // single winner at K = 1), applies the greedy maximal non-conflicting
+    // subset (in canonical order, so quality-ordering is preserved
+    // within the batch), and only then searches again. Fewer passes,
+    // same greedy-first guarantee: the canonical best of each pass is
+    // always selected and applied.
+    while engine.extractions() < cfg.max_extractions {
+        // The cover-loop head is the driver's barrier checkpoint, and
+        // therefore also its fault-injection site.
+        cfg.ctl.fault_point("seq:cover");
+        if report.note_stop(&cfg.ctl) {
+            break;
+        }
+        report.passes += 1;
+        let pass = lane.start("search");
+        let (cands, stats) = engine.search(None);
+        report.budget_exhausted |= stats.budget_exhausted;
+        end_search_span(&mut lane, pass, cands.first(), &stats);
+        if first_pass {
+            first_pass = false;
+            if let (Some(cap), Some(r)) = (capture.as_deref_mut(), cands.first()) {
+                *cap = Some(WarmStart {
+                    ceilings: engine.export_warm_ceilings(),
+                    best: r.clone(),
+                });
             }
-            report.passes += 1;
-            let pass = lane.start("search");
-            let (cands, stats) = engine.search_batch(None);
-            report.budget_exhausted |= stats.budget_exhausted;
-            end_search_span(&mut lane, pass, cands.first(), &stats);
-            if first_pass {
-                first_pass = false;
-                if let (Some(cap), Some(r)) = (capture.as_deref_mut(), cands.first()) {
-                    *cap = Some(WarmStart {
-                        ceilings: engine.export_warm_ceilings(),
-                        best: r.clone(),
-                    });
-                }
+        }
+        if cands.is_empty() {
+            break;
+        }
+        let cands_len = cands.len();
+        let mut accepted_this_pass = 0usize;
+        // Apply in waves: select the canonical non-conflicting *prefix*,
+        // apply it, then *re-validate* the surviving candidates against
+        // the updated matrix (their column sets survive; supports and
+        // values are recomputed exactly) and select again — all without
+        // paying another search. The wave loop terminates because each
+        // wave applies at least one rectangle and removes it from the
+        // pool. At K = 1 the single wave applies the single winner.
+        //
+        // The prefix rule (stop at the first conflict, instead of
+        // skipping over it) is what keeps the extraction count honest:
+        // the conflict winner's apply rewrites the loser's rows, which
+        // can shrink every candidate ranked below it, so applying
+        // post-conflict candidates blind re-extracts already-covered
+        // kernels as small flat extractions the one-per-pass engine
+        // never makes. With the prefix rule each wave's applies are
+        // ranked against a fully re-validated pool, and the batched
+        // cover reproduces the one-per-pass trajectory while still
+        // applying several rectangles per search.
+        let mut wave = cands;
+        while !wave.is_empty() && engine.extractions() < cfg.max_extractions {
+            let remaining = cfg.max_extractions - engine.extractions();
+            let selected = engine.select_batch(&wave, remaining);
+            // The canonical best never conflicts with the empty
+            // selection, so `selected` is non-empty here.
+            for rect in &selected {
+                report.total_value += rect.value;
+                let apply_span = lane.start("apply");
+                engine.apply(nw, rect);
+                lane.end_with(apply_span, || vec![("value", rect.value)]);
+                report.extractions += 1;
+                accepted_this_pass += 1;
             }
-            if cands.is_empty() {
-                break;
-            }
-            report.batch_candidates += cands.len();
-            let cands_len = cands.len();
-            let mut accepted_this_pass = 0usize;
-            // Apply in waves: select the canonical non-conflicting
-            // *prefix*, apply it, then *re-validate* the surviving
-            // candidates against the updated matrix (their column sets
-            // survive; supports and values are recomputed exactly) and
-            // select again — all without paying another search. The
-            // wave loop terminates because each wave applies at least
-            // one rectangle and removes it from the pool.
-            //
-            // The prefix rule (stop at the first conflict, instead of
-            // skipping over it) is what keeps the extraction count
-            // honest: the conflict winner's apply rewrites the loser's
-            // rows, which can shrink every candidate ranked below it, so
-            // applying post-conflict candidates blind re-extracts
-            // already-covered kernels as small flat extractions the
-            // one-per-pass engine never makes. With the prefix rule each
-            // wave's applies are ranked against a fully re-validated
-            // pool, and the batched cover reproduces the one-per-pass
-            // trajectory while still applying several rectangles per
-            // search.
-            let mut wave = cands;
-            while !wave.is_empty() && engine.extractions() < cfg.max_extractions {
-                let remaining = cfg.max_extractions - engine.extractions();
-                let selected = engine.select_batch(&wave, remaining);
-                // The canonical best never conflicts with the empty
-                // selection, so `selected` is non-empty here.
-                for rect in &selected {
-                    report.total_value += rect.value;
-                    let apply_span = lane.start("apply");
-                    engine.apply(nw, rect);
-                    lane.end_with(apply_span, || vec![("value", rect.value)]);
-                    report.extractions += 1;
-                    accepted_this_pass += 1;
-                }
-                wave = wave
-                    .into_iter()
-                    .filter(|c| !selected.contains(c))
-                    .filter_map(|c| engine.revalidate(&c))
-                    .collect();
-            }
+            wave = wave
+                .into_iter()
+                .filter(|c| !selected.contains(c))
+                .filter_map(|c| engine.revalidate(&c))
+                .collect();
+        }
+        if batching {
+            report.batch_candidates += cands_len;
             report.batch_accepted += accepted_this_pass;
             // A drained wave can apply more rectangles than the search
             // returned candidates (a re-validated candidate applies
@@ -823,50 +747,20 @@ pub(crate) fn extract_kernels_warm(
                 ]
             });
         }
-    } else {
-        while engine.extractions() < cfg.max_extractions {
-            // The cover-loop head is the driver's barrier checkpoint, and
-            // therefore also its fault-injection site.
-            cfg.ctl.fault_point("seq:cover");
-            if report.note_stop(&cfg.ctl) {
-                break;
-            }
-            report.passes += 1;
-            let pass = lane.start("search");
-            let (rect, stats) = engine.search(None);
-            report.budget_exhausted |= stats.budget_exhausted;
-            end_search_span(&mut lane, pass, rect.as_ref(), &stats);
-            if first_pass {
-                first_pass = false;
-                if let (Some(cap), Some(r)) = (capture.as_deref_mut(), rect.as_ref()) {
-                    *cap = Some(WarmStart {
-                        ceilings: engine.export_warm_ceilings(),
-                        best: r.clone(),
-                    });
-                }
-            }
-            let Some(rect) = rect else { break };
-            report.total_value += rect.value;
-            let apply_span = lane.start("apply");
-            engine.apply(nw, &rect);
-            lane.end_with(apply_span, || vec![("value", rect.value)]);
-            report.extractions += 1;
-        }
     }
     lane.end(cover_span);
     // `tile` phase counters: how the resident panel mirror was kept in
     // sync across the cover's passes (full rebuilds vs incrementally
     // re-encoded columns). Emitted once per run — the counters are
-    // cumulative over the pool's passes.
-    if cfg.search.tile_width > 0 {
-        let (rebuilds, synced_cols) = engine.tile_counters();
-        lane.event("tile", || {
-            vec![
-                ("rebuilds", rebuilds as i64),
-                ("synced_cols", synced_cols as i64),
-            ]
-        });
-    }
+    // cumulative over the pool's passes (zero for a pool-less engine,
+    // which builds a fresh panel per search).
+    let (rebuilds, synced_cols) = engine.tile_counters();
+    lane.event("tile", || {
+        vec![
+            ("rebuilds", rebuilds as i64),
+            ("synced_cols", synced_cols as i64),
+        ]
+    });
     *pool = engine.take_pool();
     report.lc_after = nw.literal_count();
     report.elapsed = start.elapsed();
@@ -1113,7 +1007,7 @@ mod tests {
         let (mut nw2, _) = example_1_1();
         let targets: Vec<SignalId> = nw1.node_ids().collect();
         let mut engine = Engine::new(&nw1, &targets, ExtractConfig::default());
-        while let (Some(rect), _) = engine.search(None) {
+        while let Some(rect) = engine.search(None).0.first().cloned() {
             engine.apply(&mut nw1, &rect);
         }
         extract_kernels(&mut nw2, &[], &ExtractConfig::default());
@@ -1277,7 +1171,7 @@ mod tests {
         let (mut nw, _) = example_1_1();
         let targets: Vec<SignalId> = nw.node_ids().collect();
         let mut engine = Engine::new_parallel(&nw, &targets, ExtractConfig::default(), 3);
-        while let (Some(rect), _) = engine.search(None) {
+        while let Some(rect) = engine.search(None).0.first().cloned() {
             engine.apply(&mut nw, &rect);
         }
         assert_eq!(nw.literal_count(), 21);

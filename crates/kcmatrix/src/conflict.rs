@@ -163,8 +163,8 @@ pub fn select_prefix_nonconflicting(
 mod tests {
     use super::*;
     use crate::matrix::LabelGen;
-    use crate::rectangle::{best_rectangles_seeded, SearchConfig};
-    use crate::registry::CubeRegistry;
+    use crate::rectangle::{search, CostModel, SearchConfig};
+    use crate::registry::{CubeId, CubeRegistry};
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit, Sop};
 
@@ -269,7 +269,8 @@ mod tests {
             topk: 8,
             ..SearchConfig::default()
         };
-        let (cands, _) = best_rectangles_seeded(&m, &|id| w[id as usize], &cfg, None);
+        let value_of = |id: CubeId| w[id as usize];
+        let (cands, _) = search(&m, &CostModel::area(&value_of), &cfg, None, None);
         assert!(cands.len() > 1, "paper matrix has multiple rectangles");
         let sel = select_nonconflicting(&m, &cands, usize::MAX);
         assert!(!sel.is_empty());
@@ -299,7 +300,8 @@ mod tests {
             topk: 8,
             ..SearchConfig::default()
         };
-        let (cands, _) = best_rectangles_seeded(&m, &|id| w[id as usize], &cfg, None);
+        let value_of = |id: CubeId| w[id as usize];
+        let (cands, _) = search(&m, &CostModel::area(&value_of), &cfg, None, None);
         let sel = select_nonconflicting(&m, &cands, usize::MAX);
         let mut shuffled = cands.clone();
         shuffled.reverse();
@@ -318,7 +320,8 @@ mod tests {
             topk: 8,
             ..SearchConfig::default()
         };
-        let (cands, _) = best_rectangles_seeded(&m, &|id| w[id as usize], &cfg, None);
+        let value_of = |id: CubeId| w[id as usize];
+        let (cands, _) = search(&m, &CostModel::area(&value_of), &cfg, None, None);
         assert!(cands.len() > 1);
         let prefix = select_prefix_nonconflicting(&m, &cands, usize::MAX);
         let greedy = select_nonconflicting(&m, &cands, usize::MAX);

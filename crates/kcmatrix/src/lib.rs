@@ -19,13 +19,13 @@
 //!   prime column sets ordered by leftmost column — the exact ordering
 //!   Algorithm R (§3) distributes across processors — with an admissible
 //!   pruning bound and a visit budget that falls back to a per-kernel
-//!   greedy sweep on pathological matrices. Row supports are dense
-//!   [`rowset::RowSet`] bitsets, and `SearchConfig::par_threads` turns
-//!   on the deterministic parallel engine ([`par_search`]); the original
-//!   sorted-vec search survives as the [`reference`] oracle.
-//!   `SearchConfig::tile_width` swaps the hot intersection loop for the
-//!   cache-blocked tiled kernel over column-major panels ([`tiles`]) —
-//!   byte-identical results, linear streaming.
+//!   greedy sweep on pathological matrices. [`rectangle::search`] is the
+//!   single entry point. Row supports live in column-major tile panels
+//!   ([`tiles`]) so the hot intersect-and-bound loop streams whole
+//!   tiles; `SearchConfig::par_threads` (or a caller-owned
+//!   [`pool::SearchPool`]) runs the deterministic parallel engine
+//!   ([`par_search`]) on the resident pool. The original sorted-vec
+//!   search survives as the [`reference`] oracle.
 
 pub mod conflict;
 pub mod cube_matrix;
@@ -45,11 +45,8 @@ pub use digest::{cube_digest, network_digest, sop_digest, Digest, DigestBuilder}
 pub use matrix::{ColIdx, KcCol, KcMatrix, KcRow, LabelGen, RowIdx};
 pub use pool::{CeilingSnapshot, CeilingUpdate, SearchPool};
 pub use rectangle::{
-    best_rectangle, best_rectangle_pooled, best_rectangle_pooled_with, best_rectangle_seeded,
-    best_rectangle_with, best_rectangle_with_seed, best_rectangles_pooled,
-    best_rectangles_pooled_with, best_rectangles_seeded, best_rectangles_with_seed,
-    canonical_top_k, revalidate_rectangle, CostModel, Rectangle, SearchConfig, SearchStats,
+    canonical_top_k, revalidate_rectangle, search, CostModel, Rectangle, SearchConfig, SearchStats,
 };
 pub use registry::{CubeId, CubeRegistry, CubeState, CubeStates, ProcId};
 pub use rowset::RowSet;
-pub use tiles::{TilePanels, TiledSupport};
+pub use tiles::{TilePanels, TiledSupport, TILE_WIDTH};

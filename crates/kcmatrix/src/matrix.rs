@@ -9,7 +9,6 @@
 //! order.
 
 use crate::registry::{CubeId, CubeRegistry};
-use crate::rowset::RowSet;
 use pf_sop::fx::FxHashMap;
 use pf_sop::kernel::{kernels_config, KernelConfig};
 use pf_sop::{Cube, Sop};
@@ -305,17 +304,6 @@ impl KcMatrix {
                 rows.remove(pos);
             }
         }
-    }
-
-    /// Per-column supports as dense [`RowSet`] bitsets over the row
-    /// universe — the search's working representation. Tombstoned rows
-    /// never appear (column row-lists are scrubbed on removal).
-    pub fn col_row_sets(&self) -> Vec<RowSet> {
-        let nrows = self.rows.len();
-        self.cols
-            .iter()
-            .map(|c| RowSet::from_indices(c.rows.iter().copied(), nrows))
-            .collect()
     }
 
     /// Row intersection helper: alive rows present in both sorted lists.

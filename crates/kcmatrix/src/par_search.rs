@@ -1,15 +1,12 @@
 //! Parallel rectangle search: a chunked work queue over leftmost
 //! columns, drained by workers sharing a pruning bound.
 //!
-//! Two executors drive the same worker body ([`run_worker`]):
-//!
-//! * [`search`] — the original per-call executor: scoped threads spawned
-//!   for every pass, fresh scratch per worker. Kept as the differential
-//!   oracle for the pooled executor.
-//! * [`crate::pool::SearchPool`] — the persistent executor: long-lived
-//!   parked workers with owned scratch reused across passes, plus
-//!   cross-pass per-column value ceilings. Zero spawns per pass once
-//!   warm.
+//! This module is the worker body ([`run_worker`]) and the canonical
+//! reduction ([`merge_results`]); the executor that runs them is
+//! [`crate::pool::SearchPool`]: long-lived parked workers with owned
+//! scratch reused across passes, plus cross-pass per-column value
+//! ceilings. A caller without a pool of its own gets a call-scoped one
+//! from [`crate::rectangle::search`].
 //!
 //! ## Determinism rules
 //!
@@ -58,8 +55,8 @@
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    approx_value, approx_value_rows, evaluate_with, greedy_row, greedy_row_tiled, stripe_admits,
-    CostModel, GreedyBufs, Rectangle, SearchConfig, SearchStats, TopK,
+    approx_value, evaluate_with, greedy_row, stripe_admits, Collect, CostModel, GreedyBufs,
+    Rectangle, SearchConfig, SearchStats, TopK,
 };
 use crate::registry::CubeId;
 use crate::rowset::RowSet;
@@ -67,7 +64,6 @@ use crate::tiles::{TilePanels, TiledSupport};
 use pf_sop::fx::FxHashSet;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::thread;
 
 /// How many chunks each worker should expect to claim, on average.
 /// Smaller chunks balance better (leftmost-column subtrees are wildly
@@ -215,7 +211,7 @@ impl PassSync for SoloSync {
 }
 
 /// One worker's owned buffers: greedy evaluation buffers, the
-/// branch-and-bound column stack, per-depth row-set and candidate
+/// branch-and-bound column stack, per-depth support and candidate
 /// pools, and the exact-evaluation scratch. Everything here is
 /// capacity-retaining, which is the point — a pool worker reuses its
 /// scratch across every pass of an extraction run instead of
@@ -224,16 +220,11 @@ impl PassSync for SoloSync {
 pub(crate) struct WorkerScratch {
     greedy: GreedyBufs,
     cols: Vec<ColIdx>,
-    depths: Vec<RowSet>,
-    /// Per-depth tiled-support pool — the tiled kernel's twin of
-    /// `depths`, retained across passes just the same.
-    tdepths: Vec<TiledSupport>,
+    depths: Vec<TiledSupport>,
     cand: Vec<RowSet>,
     rows_buf: Vec<RowIdx>,
     seen: FxHashSet<CubeId>,
-    root: RowSet,
-    /// Tiled twin of `root`.
-    troot: TiledSupport,
+    root: TiledSupport,
 }
 
 /// Read-only view of the surviving per-column ceilings for one pass
@@ -276,86 +267,10 @@ pub(crate) struct WorkerResult {
 }
 
 /// The admissible leftmost-column task list for one pass.
-pub(crate) fn admissible_tasks(
-    m: &KcMatrix,
-    cfg: &SearchConfig,
-    col_sets: &[RowSet],
-) -> Vec<ColIdx> {
+pub(crate) fn admissible_tasks(m: &KcMatrix, cfg: &SearchConfig) -> Vec<ColIdx> {
     (0..m.cols().len())
-        .filter(|&c| stripe_admits(cfg, c) && !col_sets[c].is_empty())
+        .filter(|&c| stripe_admits(cfg, c) && !m.cols()[c].rows.is_empty())
         .collect()
-}
-
-/// Runs the spawn-per-call parallel search. `init_best` is the
-/// re-validated previous-pass seed (not the greedy result — the greedy
-/// sweep runs *inside* the parallel region, striped across workers); it
-/// starts the shared bound and joins the canonical merge and truncation
-/// fallback.
-pub(crate) fn search(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    row_full_value: &[i64],
-    col_sets: &[RowSet],
-    init_best: Option<Rectangle>,
-    panel: Option<&TilePanels>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let tasks = admissible_tasks(m, cfg, col_sets);
-    if tasks.is_empty() {
-        // No admissible leftmost column ⇒ the greedy sweep (whose rows
-        // need an admissible leftmost column too) finds nothing either.
-        return (init_best.into_iter().collect(), SearchStats::default());
-    }
-    let nthreads = cfg.par_threads.min(tasks.len()).max(1);
-    let greedy_rows = if cfg.greedy_seed { m.rows().len() } else { 0 };
-    let queue = Queue::new(&tasks, nthreads, greedy_rows);
-    let sync = AtomicSync::new(init_bound(cfg, init_best.as_ref()));
-
-    // One worker runs inline on the calling thread: `par_threads = 1`
-    // then costs no spawn at all, and N threads cost N − 1 spawns.
-    let results: Vec<WorkerResult> = thread::scope(|s| {
-        let handles: Vec<_> = (1..nthreads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut ws = WorkerScratch::default();
-                    run_worker(
-                        m,
-                        model,
-                        cfg,
-                        row_full_value,
-                        col_sets,
-                        &queue,
-                        &sync,
-                        &mut ws,
-                        None,
-                        panel,
-                    )
-                })
-            })
-            .collect();
-        let mut ws = WorkerScratch::default();
-        let mut results = vec![run_worker(
-            m,
-            model,
-            cfg,
-            row_full_value,
-            col_sets,
-            &queue,
-            &sync,
-            &mut ws,
-            None,
-            panel,
-        )];
-        results.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("search worker panicked")),
-        );
-        results
-    });
-
-    let (best, stats, _) = merge_results(results, init_best, sync.is_truncated(), cfg.topk);
-    (best, stats)
 }
 
 /// The sound initial shared bound. The re-validated seed's value lower-
@@ -410,21 +325,20 @@ pub(crate) fn merge_results(
 }
 
 /// One worker's pass: greedy phase over its row chunks, then
-/// branch-and-bound over its claimed leftmost-column tasks. Shared by
-/// the spawn executor (fresh scratch, atomics, no ceilings) and the
-/// pooled executor (persistent scratch, cells at one thread, ceilings).
+/// branch-and-bound over its claimed leftmost-column tasks. The pool
+/// runs it on persistent scratch — over plain cells at one thread,
+/// atomics otherwise — with ceilings when the caller enabled them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker<S: PassSync>(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
     row_full_value: &[i64],
-    col_sets: &[RowSet],
+    panel: &TilePanels,
     queue: &Queue<'_>,
     sync: &S,
     ws: &mut WorkerScratch,
     ceil: Option<&CeilingsView<'_>>,
-    panel: Option<&TilePanels>,
 ) -> WorkerResult {
     // Phase 1: greedy rows. Never aborted — rule 3 needs the complete
     // greedy result even when another worker trips the budget. The local
@@ -444,17 +358,21 @@ pub(crate) fn run_worker<S: PassSync>(
         }
         let end = (start + queue.greedy_chunk).min(queue.greedy_rows);
         for r in start..end {
-            // Tiled rows gate their exact evaluation on `found` — in
-            // this phase `found` and `greedy` hold identical contents,
-            // so the gate is conservative for both lists and the
-            // rule-3 merge stays exact (a gated-out row is strictly
-            // below the list threshold it would have been offered to).
-            let rect = match panel {
-                Some(p) => {
-                    greedy_row_tiled(m, model, cfg, p, row_full_value, r, &mut ws.greedy, &found)
-                }
-                None => greedy_row(m, model, cfg, col_sets, r, &mut ws.greedy),
-            };
+            // Rows gate their exact evaluation on `found` — in this
+            // phase `found` and `greedy` hold identical contents, so the
+            // gate is conservative for both lists and the rule-3 merge
+            // stays exact (a gated-out row is strictly below the list
+            // threshold it would have been offered to).
+            let rect = greedy_row(
+                m,
+                model,
+                cfg,
+                panel,
+                row_full_value,
+                r,
+                &mut ws.greedy,
+                &found,
+            );
             if let Some(rect) = rect {
                 greedy.insert_ref(&rect);
                 if found.insert(rect) && sync.raise_bound(found.threshold()) {
@@ -466,14 +384,12 @@ pub(crate) fn run_worker<S: PassSync>(
 
     // Phase 2: branch-and-bound explore tasks.
     let mut root = std::mem::take(&mut ws.root);
-    let mut troot = std::mem::take(&mut ws.troot);
     let mut ceil_out: Vec<(ColIdx, i64)> = Vec::new();
     let mut search = ParSearch {
         m,
         model,
         cfg,
         row_full_value,
-        col_sets,
         panel,
         sync,
         stopped: false,
@@ -484,7 +400,6 @@ pub(crate) fn run_worker<S: PassSync>(
         found: &mut found,
         cols: &mut ws.cols,
         scratch: &mut ws.depths,
-        tscratch: &mut ws.tdepths,
         cand: &mut ws.cand,
         rows_buf: &mut ws.rows_buf,
         seen: &mut ws.seen,
@@ -514,13 +429,8 @@ pub(crate) fn run_worker<S: PassSync>(
             search.task_ceil = 0;
             search.cols.clear();
             search.cols.push(c0);
-            if let Some(p) = panel {
-                troot.load_col(p, c0);
-                troot = search.explore_tiled(0, troot);
-            } else {
-                root.copy_from(&col_sets[c0]);
-                root = search.explore(0, root);
-            }
+            root.load_col(panel, c0);
+            root = search.explore(0, root);
             if ceil.is_some() && !search.stopped {
                 // Task completed: its running ceiling is a sound upper
                 // bound on the whole subtree, fresh for the next pass.
@@ -529,7 +439,6 @@ pub(crate) fn run_worker<S: PassSync>(
         }
     }
     ws.root = root;
-    ws.troot = troot;
     let expansions = search.expansions;
     let pruned = search.pruned;
     let explore_updates = search.bound_updates;
@@ -548,9 +457,8 @@ struct ParSearch<'a, S: PassSync> {
     model: &'a CostModel<'a>,
     cfg: &'a SearchConfig,
     row_full_value: &'a [i64],
-    col_sets: &'a [RowSet],
-    /// Column-major tile mirror; `Some` selects the tiled kernel.
-    panel: Option<&'a TilePanels>,
+    /// Column-major tile mirror of the matrix.
+    panel: &'a TilePanels,
     /// Shared bound / budget tickets / truncation flag for this pass.
     sync: &'a S,
     /// Local mirror of the truncation flag: once set, unwind without
@@ -574,9 +482,8 @@ struct ParSearch<'a, S: PassSync> {
     /// across workers by the caller.
     found: &'a mut TopK,
     cols: &'a mut Vec<ColIdx>,
-    scratch: &'a mut Vec<RowSet>,
-    /// Per-depth tiled-support pool (the tiled kernel's `scratch`).
-    tscratch: &'a mut Vec<TiledSupport>,
+    /// Per-depth support pool.
+    scratch: &'a mut Vec<TiledSupport>,
     /// Per-depth candidate-column bitsets (universe = column count).
     cand: &'a mut Vec<RowSet>,
     rows_buf: &'a mut Vec<RowIdx>,
@@ -584,7 +491,11 @@ struct ParSearch<'a, S: PassSync> {
 }
 
 impl<S: PassSync> ParSearch<'_, S> {
-    fn explore(&mut self, depth: usize, rows: RowSet) -> RowSet {
+    /// The worker-side twin of the sequential engine's `explore`: same
+    /// enumeration order and fused intersect+bound pass, with budget
+    /// tickets, `task_ceil` accounting and the strict prune/admission
+    /// gates of the determinism rules.
+    fn explore(&mut self, depth: usize, rows: TiledSupport) -> TiledSupport {
         if self.sync.is_truncated() {
             self.stopped = true;
             return rows;
@@ -601,12 +512,14 @@ impl<S: PassSync> ParSearch<'_, S> {
             // Rule 2's gate counterpart: evaluate whenever the
             // duplicate-blind upper bound could *tie* the shared bound
             // (`>=`, not `>`), so every maximum-value rectangle reaches
-            // the canonical merge regardless of bound timing.
+            // the canonical merge regardless of bound timing. The local
+            // list's own gate (the bound never falls below its
+            // threshold) additionally skips ties it would reject.
             let approx = approx_value(self.m, self.model, self.cols, &rows);
             // `approx` upper-bounds every rectangle on this exact
             // column set, so it feeds the task ceiling.
             self.task_ceil = self.task_ceil.max(approx);
-            if approx > 0 && approx >= self.sync.bound() {
+            if approx >= self.sync.bound() && self.found.admits(approx, self.cols) {
                 self.rows_buf.clear();
                 rows.collect_into(self.rows_buf);
                 self.seen.clear();
@@ -630,7 +543,7 @@ impl<S: PassSync> ParSearch<'_, S> {
         // so determinism is unaffected.
         let from = self.cols.last().copied().unwrap_or(0) + 1;
         if self.scratch.len() <= depth {
-            self.scratch.resize_with(depth + 1, RowSet::new);
+            self.scratch.resize_with(depth + 1, TiledSupport::default);
             self.cand.resize_with(depth + 1, RowSet::new);
         }
         let mut cand = std::mem::take(&mut self.cand[depth]);
@@ -644,8 +557,7 @@ impl<S: PassSync> ParSearch<'_, S> {
         }
         for c in &cand {
             let mut shared = std::mem::take(&mut self.scratch[depth]);
-            shared.assign_and(&rows, &self.col_sets[c]);
-            let ub: i64 = shared.iter().map(|r| self.row_full_value[r].max(0)).sum();
+            let ub = shared.and_ub_from(&rows, self.panel, c, self.row_full_value);
             // Rule 2: strict prune — subtrees that could still tie the
             // bound are kept alive. The admissible `ub` covers the
             // pruned branch in the task ceiling.
@@ -658,81 +570,6 @@ impl<S: PassSync> ParSearch<'_, S> {
             self.cols.push(c);
             let buf = self.explore(depth + 1, shared);
             self.scratch[depth] = buf;
-            self.cols.pop();
-            if self.stopped {
-                // Terminal unwind — skip restoring the candidate pool.
-                return rows;
-            }
-        }
-        self.cand[depth] = cand;
-        rows
-    }
-
-    /// [`ParSearch::explore`] over the tiled kernel — the worker-side
-    /// twin of the sequential `explore_tiled`: same budget tickets,
-    /// same `task_ceil` accounting, same strict prune and admission
-    /// gates. Only the support representation and the fused
-    /// intersect+bound pass differ, and both produce the exact scalar
-    /// values, so results stay byte-identical.
-    fn explore_tiled(&mut self, depth: usize, rows: TiledSupport) -> TiledSupport {
-        if self.sync.is_truncated() {
-            self.stopped = true;
-            return rows;
-        }
-        let ticket = self.sync.ticket();
-        if ticket >= self.cfg.budget {
-            self.sync.set_truncated();
-            self.stopped = true;
-            return rows;
-        }
-        self.expansions += 1;
-
-        if self.cols.len() >= self.cfg.min_cols {
-            let approx = approx_value_rows(self.m, self.model, self.cols, rows.iter());
-            self.task_ceil = self.task_ceil.max(approx);
-            if approx > 0 && approx >= self.sync.bound() {
-                self.rows_buf.clear();
-                rows.collect_into(self.rows_buf);
-                self.seen.clear();
-                if let Some(rect) =
-                    evaluate_with(self.m, self.model, self.cols, self.rows_buf, self.seen)
-                {
-                    if self.found.insert(rect) && self.sync.raise_bound(self.found.threshold()) {
-                        self.bound_updates += 1;
-                    }
-                }
-            }
-        }
-
-        let from = self.cols.last().copied().unwrap_or(0) + 1;
-        if self.tscratch.len() <= depth {
-            self.tscratch.resize_with(depth + 1, TiledSupport::default);
-        }
-        if self.cand.len() <= depth {
-            self.cand.resize_with(depth + 1, RowSet::new);
-        }
-        let mut cand = std::mem::take(&mut self.cand[depth]);
-        cand.reset(self.m.cols().len());
-        for r in &rows {
-            for &(c, _) in &self.m.rows()[r].entries {
-                if c >= from {
-                    cand.insert(c);
-                }
-            }
-        }
-        let panel = self.panel.expect("tiled explore requires a panel");
-        for c in &cand {
-            let mut shared = std::mem::take(&mut self.tscratch[depth]);
-            let ub = shared.and_ub_from(&rows, panel, c, self.row_full_value);
-            if ub <= 0 || ub < self.sync.bound() {
-                self.pruned += 1;
-                self.task_ceil = self.task_ceil.max(ub);
-                self.tscratch[depth] = shared;
-                continue;
-            }
-            self.cols.push(c);
-            let buf = self.explore_tiled(depth + 1, shared);
-            self.tscratch[depth] = buf;
             self.cols.pop();
             if self.stopped {
                 // Terminal unwind — skip restoring the candidate pool.

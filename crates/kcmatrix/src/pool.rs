@@ -2,11 +2,11 @@
 //! workers plus cross-pass per-column value ceilings.
 //!
 //! The extraction loop calls the rectangle search hundreds of times per
-//! circuit, and [`crate::par_search::search`] pays two per-pass taxes
-//! for that: `N − 1` thread spawns, and cold scratch (greedy buffers,
-//! per-depth row sets, visited sets) reallocated by every worker on
-//! every call. This module makes the steady-state pass spawn-free and
-//! allocation-free:
+//! circuit. A spawn-per-pass executor would pay two per-pass taxes for
+//! that: `N − 1` thread spawns, and cold scratch (greedy buffers,
+//! per-depth supports, visited sets) reallocated by every worker on
+//! every call. This pool is the only parallel executor, and it makes
+//! the steady-state pass spawn-free and allocation-free:
 //!
 //! * workers are spawned once ([`SearchPool::warm`], or lazily on the
 //!   first pass that needs them) and park on a condvar between passes;
@@ -65,9 +65,7 @@ use crate::par_search::{
     admissible_tasks, merge_results, run_worker, AtomicSync, CeilingsView, PassSync, Queue,
     SoloSync, WorkerScratch,
 };
-use crate::rectangle::{
-    revalidate_seed, row_full_values, CostModel, Rectangle, SearchConfig, SearchStats,
-};
+use crate::rectangle::{CostModel, Rectangle, SearchConfig, SearchStats};
 use crate::tiles::TilePanels;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -174,8 +172,8 @@ impl Ceilings {
 /// A persistent pool of rectangle-search workers with owned scratch and
 /// cross-pass pruning state. Create one per extraction run (or adopt
 /// one per resident worker thread), drive every pass through
-/// [`crate::rectangle::best_rectangle_pooled`], and drop it when done —
-/// `Drop` joins the background threads.
+/// [`crate::rectangle::search`], and drop it when done — `Drop` joins
+/// the background threads.
 pub struct SearchPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -184,9 +182,9 @@ pub struct SearchPool {
     spawned: u64,
     passes: u64,
     ceil: Ceilings,
-    /// Resident tile-panel mirror for `SearchConfig::tile_width > 0`
-    /// passes, kept in sync across passes by the same dirty-column
-    /// bookkeeping that drives the ceilings (see [`crate::tiles`]).
+    /// Resident tile-panel mirror, kept in sync across passes by the
+    /// same dirty-column bookkeeping that drives the ceilings (see
+    /// [`crate::tiles`]).
     panel: Option<TilePanels>,
     /// `tile` phase counters: full panel (re)builds and in-place
     /// column re-encodes, for observability (`tile_rebuilds` /
@@ -254,10 +252,10 @@ impl SearchPool {
         self.passes
     }
 
-    /// `tile` phase counter: full panel (re)builds this pool performed
-    /// for the tiled kernel. A steady-state incremental run should pin
-    /// this at 1 (the first pass) — a climbing count means the dirty
-    /// contract keeps forcing rebuilds.
+    /// `tile` phase counter: full panel (re)builds this pool performed.
+    /// A steady-state incremental run should pin this at 1 (the first
+    /// pass) — a climbing count means the dirty contract keeps forcing
+    /// rebuilds.
     pub fn tile_rebuilds(&self) -> u64 {
         self.tile_rebuilds
     }
@@ -419,18 +417,18 @@ fn worker_loop(shared: Arc<PoolShared>, idx: usize, start_epoch: u64) {
     }
 }
 
-/// One rectangle-search pass on the pool. Mirrors
-/// [`crate::par_search::search`] exactly — same tasks, same greedy
-/// striping, same canonical merge and truncation fallback — plus the
-/// ceiling lifecycle described in the module docs.
-#[allow(clippy::too_many_arguments)]
+/// One rectangle-search pass on the pool: greedy rows striped across
+/// the workers, leftmost-column tasks on the chunked queue, the
+/// canonical merge and truncation fallback of [`crate::par_search`],
+/// plus the ceiling lifecycle described in the module docs.
+/// `init_best` is the re-validated previous-pass seed; it starts the
+/// shared bound and joins the merge.
 pub(crate) fn pool_search(
     pool: &mut SearchPool,
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
     row_full_value: &[i64],
-    col_sets: &[crate::rowset::RowSet],
     init_best: Option<Rectangle>,
     update: CeilingUpdate<'_>,
 ) -> (Vec<Rectangle>, SearchStats) {
@@ -440,17 +438,15 @@ pub(crate) fn pool_search(
     // panel needs — `Dirty` lists every column that gained or lost a
     // row since the previous pass (the `Engine::apply` contract), so an
     // incremental re-encode suffices; anything else rebuilds.
-    if cfg.tile_width == 0 {
-        pool.panel = None;
-    } else if let (Some(panel), CeilingUpdate::Dirty(dirty)) = (&mut pool.panel, &update) {
-        let appended = col_sets.len().saturating_sub(panel.ncols());
-        if panel.sync(m.rows().len(), col_sets, cfg.tile_width, dirty) {
+    if let (Some(panel), CeilingUpdate::Dirty(dirty)) = (&mut pool.panel, &update) {
+        let appended = ncols.saturating_sub(panel.ncols());
+        if panel.sync(m.rows().len(), m.cols(), dirty) {
             pool.tile_rebuilds += 1;
         } else {
             pool.tile_synced_cols += (appended + dirty.len()) as u64;
         }
     } else {
-        pool.panel = Some(TilePanels::build(m.rows().len(), col_sets, cfg.tile_width));
+        pool.panel = Some(TilePanels::build(m.rows().len(), m.cols()));
         pool.tile_rebuilds += 1;
     }
 
@@ -485,7 +481,7 @@ pub(crate) fn pool_search(
         }
     };
 
-    let tasks = admissible_tasks(m, cfg, col_sets);
+    let tasks = admissible_tasks(m, cfg);
     if tasks.is_empty() {
         return (init_best.into_iter().collect(), SearchStats::default());
     }
@@ -497,8 +493,7 @@ pub(crate) fn pool_search(
     // Move the ceilings (and the panel) out of the pool so
     // `run_pass(&mut pool)` and the read-only views can coexist.
     let mut ceil = std::mem::take(&mut pool.ceil);
-    let panel = std::mem::take(&mut pool.panel);
-    let panel_ref = panel.as_ref();
+    let panel = std::mem::take(&mut pool.panel).expect("prologue built the panel");
     let view = if enabled {
         Some(CeilingsView {
             vals: &ceil.vals,
@@ -518,12 +513,11 @@ pub(crate) fn pool_search(
             model,
             cfg,
             row_full_value,
-            col_sets,
+            &panel,
             &queue,
             &sync,
             &mut pool.solo,
             view.as_ref(),
-            panel_ref,
         );
         let truncated = sync.is_truncated();
         let (best, stats, ceil_out) = merge_results(vec![result], init_best, truncated, cfg.topk);
@@ -533,18 +527,18 @@ pub(crate) fn pool_search(
         let slots: Vec<Mutex<Option<crate::par_search::WorkerResult>>> =
             (0..nthreads).map(|_| Mutex::new(None)).collect();
         let view_ref = view.as_ref();
+        let panel_ref = &panel;
         pool.run_pass(nthreads, &|idx: usize, ws: &mut WorkerScratch| {
             let r = run_worker(
                 m,
                 model,
                 cfg,
                 row_full_value,
-                col_sets,
+                panel_ref,
                 &queue,
                 &sync,
                 ws,
                 view_ref,
-                panel_ref,
             );
             *slots[idx].lock() = Some(r);
         });
@@ -574,42 +568,17 @@ pub(crate) fn pool_search(
     pool.ceil = ceil;
     // The panel stays valid regardless of truncation — it mirrors
     // matrix *content*, not search state.
-    pool.panel = panel;
+    pool.panel = Some(panel);
 
     (best, stats)
-}
-
-/// [`pool_search`] with seed revalidation — the pooled twin of
-/// [`crate::rectangle::best_rectangle_with_seed`].
-pub(crate) fn pool_search_seeded(
-    pool: &mut SearchPool,
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let row_full_value = row_full_values(m, model);
-    let col_sets = m.col_row_sets();
-    let best = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
-    pool_search(
-        pool,
-        m,
-        model,
-        cfg,
-        &row_full_value,
-        &col_sets,
-        best,
-        update,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::LabelGen;
-    use crate::rectangle::{best_rectangle_seeded, SearchConfig};
-    use crate::registry::CubeRegistry;
+    use crate::rectangle::{search, SearchConfig};
+    use crate::registry::{CubeId, CubeRegistry};
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit, Sop};
 
@@ -647,6 +616,30 @@ mod tests {
         (m, weights)
     }
 
+    /// One area-model pass; `pool = None` takes the call-scoped path.
+    fn best(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+        pool: Option<(&mut SearchPool, CeilingUpdate<'_>)>,
+    ) -> (Option<Rectangle>, SearchStats) {
+        let (rects, stats) = search(m, &CostModel::area(value_of), cfg, seed, pool);
+        (rects.into_iter().next(), stats)
+    }
+
+    /// [`best`] on `pool` with `update`.
+    fn pooled(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+        pool: &mut SearchPool,
+        update: CeilingUpdate<'_>,
+    ) -> (Option<Rectangle>, SearchStats) {
+        best(m, value_of, cfg, seed, Some((pool, update)))
+    }
+
     #[test]
     fn one_thread_pass_spawns_no_threads() {
         let (m, w) = paper_matrix();
@@ -655,16 +648,9 @@ mod tests {
             par_threads: 1,
             ..SearchConfig::default()
         };
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         for _ in 0..5 {
-            let _ = crate::rectangle::best_rectangle_pooled(
-                &m,
-                &value_of,
-                &cfg,
-                None,
-                &mut pool,
-                CeilingUpdate::Off,
-            );
+            let _ = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
         }
         assert_eq!(pool.spawned_threads(), 0, "t1 passes must never spawn");
         assert_eq!(pool.bg_threads(), 0);
@@ -682,17 +668,10 @@ mod tests {
         pool.warm(4);
         let after_warm = pool.spawned_threads();
         assert!(after_warm <= 3);
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let mut rects = Vec::new();
         for _ in 0..8 {
-            let (r, _) = crate::rectangle::best_rectangle_pooled(
-                &m,
-                &value_of,
-                &cfg,
-                None,
-                &mut pool,
-                CeilingUpdate::Off,
-            );
+            let (r, _) = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
             rects.push(r);
         }
         assert_eq!(
@@ -707,56 +686,48 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_spawn_executor() {
+    fn pooled_top_k_matches_the_sequential_engine() {
+        // At topk > 1 both engines return the canonical top-K, so the
+        // pool must agree with the sequential engine for every width.
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
+        let seq_cfg = SearchConfig {
+            topk: 4,
+            ..SearchConfig::default()
+        };
+        let (want, _) = search(&m, &CostModel::area(&value_of), &seq_cfg, None, None);
+        assert!(want.len() > 1);
         for threads in [1usize, 2, 4] {
             let cfg = SearchConfig {
                 par_threads: threads,
-                ..SearchConfig::default()
+                ..seq_cfg.clone()
             };
-            let (spawn_rect, spawn_stats) = best_rectangle_seeded(&m, &value_of, &cfg, None);
             let mut pool = SearchPool::new();
-            let (pool_rect, pool_stats) = crate::rectangle::best_rectangle_pooled(
+            let (got, stats) = search(
                 &m,
-                &value_of,
+                &CostModel::area(&value_of),
                 &cfg,
                 None,
-                &mut pool,
-                CeilingUpdate::Off,
+                Some((&mut pool, CeilingUpdate::Off)),
             );
-            assert_eq!(pool_rect, spawn_rect, "threads={threads}");
-            assert_eq!(
-                pool_stats.budget_exhausted, spawn_stats.budget_exhausted,
-                "threads={threads}"
-            );
-            if threads == 1 {
-                // Deterministic single-worker schedule: stats line up too.
-                assert_eq!(pool_stats.visited, spawn_stats.visited);
-            }
+            assert_eq!(got, want, "threads={threads}");
+            assert!(!stats.budget_exhausted);
         }
     }
 
     #[test]
     fn ceilings_preserve_results_across_identical_passes() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (cold, _) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (cold, _) = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
         // Nothing dirty: every surviving ceiling may prune, and the
         // result must still be byte-identical.
-        let (warm, warm_stats) = crate::rectangle::best_rectangle_pooled(
+        let (warm, warm_stats) = pooled(
             &m,
             &value_of,
             &cfg,
@@ -767,7 +738,7 @@ mod tests {
         assert_eq!(cold, warm);
         // Seeding the warm pass with the cold winner makes the bound
         // tight from the start — ceilings then prune almost everything.
-        let (seeded, seeded_stats) = crate::rectangle::best_rectangle_pooled(
+        let (seeded, seeded_stats) = pooled(
             &m,
             &value_of,
             &cfg,
@@ -782,13 +753,13 @@ mod tests {
     #[test]
     fn exported_ceilings_warm_start_a_fresh_pool_identically() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             ..SearchConfig::default()
         };
         let mut cold_pool = SearchPool::new();
-        let (cold, cold_stats) = crate::rectangle::best_rectangle_pooled(
+        let (cold, cold_stats) = pooled(
             &m,
             &value_of,
             &cfg,
@@ -802,7 +773,7 @@ mod tests {
         // matrix: byte-identical winner, no more work than cold.
         let mut warm_pool = SearchPool::new();
         warm_pool.seed_ceilings(&snap);
-        let (warm, warm_stats) = crate::rectangle::best_rectangle_pooled(
+        let (warm, warm_stats) = pooled(
             &m,
             &value_of,
             &cfg,
@@ -819,50 +790,29 @@ mod tests {
     #[test]
     fn off_update_invalidates_stored_ceilings() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let _ = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let _ = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
         assert!(pool.ceil.valid.iter().any(|&v| v));
-        let _ = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Off,
-        );
+        let _ = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
         assert!(pool.ceil.valid.iter().all(|&v| !v));
     }
 
     #[test]
     fn fingerprint_mismatch_resets_ceilings() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let mut pool = SearchPool::new();
         let cfg1 = SearchConfig {
             par_threads: 1,
             min_cols: 2,
             ..SearchConfig::default()
         };
-        let _ = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg1,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let _ = pooled(&m, &value_of, &cfg1, None, &mut pool, CeilingUpdate::Reset);
         // min_cols changed: stored ceilings are meaningless; Dirty(&[])
         // must behave like Reset, and the result must match a fresh
         // search under the new config.
@@ -871,7 +821,7 @@ mod tests {
             min_cols: 1,
             ..SearchConfig::default()
         };
-        let (warm, _) = crate::rectangle::best_rectangle_pooled(
+        let (warm, _) = pooled(
             &m,
             &value_of,
             &cfg2,
@@ -879,28 +829,21 @@ mod tests {
             &mut pool,
             CeilingUpdate::Dirty(&[]),
         );
-        let (cold, _) = best_rectangle_seeded(&m, &value_of, &cfg2, None);
+        let (cold, _) = best(&m, &value_of, &cfg2, None, None);
         assert_eq!(warm, cold);
     }
 
     #[test]
     fn truncated_pass_invalidates_ceilings_and_falls_back() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             budget: 1,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (rect, stats) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (rect, stats) = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
         assert!(stats.budget_exhausted);
         // Rule 3: the greedy fallback still yields a rectangle here.
         assert!(rect.is_some());
@@ -946,15 +889,8 @@ mod tests {
             par_threads: 2,
             ..SearchConfig::default()
         };
-        let value_of = |_id: crate::registry::CubeId| 1u32;
-        let (rect, stats) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let value_of = |_id: CubeId| 1u32;
+        let (rect, stats) = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
         assert!(rect.is_none());
         assert_eq!(stats.visited, 0);
         assert_eq!(pool.spawned_threads(), 0);
@@ -964,20 +900,13 @@ mod tests {
     fn kernel_of_best_matches_reference() {
         // Smoke: pooled winner's kernel extraction works end to end.
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 2,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (rect, _) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (rect, _) = pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
         let rect = rect.expect("paper matrix has a rectangle");
         let kernel = rect.kernel(&m);
         assert!(kernel.cubes().len() >= 2);

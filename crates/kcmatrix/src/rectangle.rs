@@ -19,16 +19,18 @@
 //! with positive contribution), prunes with an admissible bound, and
 //! degrades to a per-row greedy sweep when a visit budget is exhausted.
 //!
-//! Row supports are dense [`RowSet`] bitsets: intersecting a candidate's
-//! support with a column is a handful of word `AND`s instead of a sorted
-//! merge. With `par_threads >= 1` the leftmost-column loop runs on a
-//! chunked work queue drained by scoped threads sharing an atomic
-//! pruning bound; see [`crate::par_search`] for the determinism rules.
-//! The legacy `Vec<RowIdx>` implementation survives in
+//! Row supports are [`TiledSupport`]s over a column-major
+//! [`TilePanels`] mirror of the matrix: intersecting a candidate's
+//! support with a column and bounding the result is one fused pass over
+//! the support's live tiles. [`search`] is the single entry point. With
+//! `par_threads >= 1` (or a caller-owned [`SearchPool`]) the
+//! leftmost-column loop runs on the pool's chunked work queue, drained by
+//! workers sharing a pruning bound; see [`crate::par_search`] for the
+//! determinism rules. The sorted-`Vec<RowIdx>` implementation survives in
 //! [`crate::reference`] as a differential-testing oracle.
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
-use crate::pool::{CeilingUpdate, SearchPool};
+use crate::pool::{pool_search, CeilingUpdate, SearchPool};
 use crate::registry::CubeId;
 use crate::rowset::RowSet;
 use crate::tiles::{TilePanels, TiledSupport};
@@ -174,9 +176,9 @@ impl TopK {
 /// [`TopK`] keeps the canonical top-K with the bound keyed to the K-th
 /// value.
 pub(crate) trait Collect {
-    /// Whether a candidate whose duplicate-blind upper bound is `approx`
-    /// deserves the exact (allocating) evaluation pass.
-    fn admits(&self, approx: i64) -> bool;
+    /// Whether the column set `cols`, whose duplicate-blind upper bound
+    /// is `approx`, deserves the exact (allocating) evaluation pass.
+    fn admits(&self, approx: i64, cols: &[ColIdx]) -> bool;
     /// Offers an exactly-evaluated rectangle; whether it was kept.
     fn offer(&mut self, rect: Rectangle) -> bool;
     /// Whether a subtree with admissible bound `ub` is provably dead.
@@ -194,7 +196,7 @@ impl BestOne {
 }
 
 impl Collect for BestOne {
-    fn admits(&self, approx: i64) -> bool {
+    fn admits(&self, approx: i64, _cols: &[ColIdx]) -> bool {
         approx > self.value()
     }
     fn offer(&mut self, rect: Rectangle) -> bool {
@@ -211,10 +213,18 @@ impl Collect for BestOne {
 }
 
 impl Collect for TopK {
-    fn admits(&self, approx: i64) -> bool {
+    fn admits(&self, approx: i64, cols: &[ColIdx]) -> bool {
         // `>=`: a tie on value can still be canonically better (smaller
         // cols/rows), and an under-full list takes anything positive.
-        approx > 0 && approx >= self.threshold()
+        // A tie with a full list's tail wins only with smaller columns:
+        // the exact rectangle of one column set is unique, so equal
+        // columns mean the tail itself. The greedy sweep meets exactly
+        // that case once per row of a kept rectangle.
+        approx > 0
+            && approx >= self.threshold()
+            && !(self.is_full()
+                && approx == self.threshold()
+                && self.items.last().is_some_and(|tail| cols >= &tail.cols[..]))
     }
     fn offer(&mut self, rect: Rectangle) -> bool {
         self.insert(rect)
@@ -244,10 +254,11 @@ pub struct SearchConfig {
     pub greedy_seed: bool,
     /// Intra-matrix search threads. `0` (the default) runs the classic
     /// sequential engine, which keeps the *first* maximum-value
-    /// rectangle in enumeration order. `>= 1` runs the parallel engine:
-    /// leftmost-column tasks on a chunked work queue, a shared atomic
-    /// pruning bound, and a canonical (value, cols, rows) tie-break so
-    /// the result is identical for any thread count (including 1).
+    /// rectangle in enumeration order. `>= 1` runs the parallel engine
+    /// on a [`SearchPool`]: leftmost-column tasks on a chunked work
+    /// queue, a shared pruning bound, and a canonical (value, cols,
+    /// rows) tie-break so the result is identical for any thread count
+    /// (including 1).
     pub par_threads: usize,
     /// How many rectangles one pass collects. `1` (the default) keeps
     /// the classic best-only semantics byte-for-byte. `> 1` collects the
@@ -256,13 +267,9 @@ pub struct SearchConfig {
     /// thread count, including the sequential engine. Top-K batches feed
     /// [`crate::conflict`] selection in the extraction drivers.
     pub topk: usize,
-    /// Words per tile of the cache-blocked search kernel
-    /// ([`crate::tiles`]). `0` (the default) keeps the scalar
-    /// [`RowSet`] intersection path; `>= 1` mirrors the matrix into
-    /// column-major panels of `tile_width`-word tiles and runs the hot
-    /// intersection/bound loop over them. Results are byte-identical
-    /// for every width — only the memory access pattern changes — so
-    /// this knob is result-invariant (it never joins cache keys).
+    /// Has no effect. The search always runs the tiled kernel at
+    /// [`crate::tiles::TILE_WIDTH`] words per tile; the field remains
+    /// only so existing struct literals and assignments keep compiling.
     pub tile_width: usize,
 }
 
@@ -339,54 +346,64 @@ impl<'a> CostModel<'a> {
     }
 }
 
-/// Finds the maximum-valued rectangle with positive value, or `None`.
+/// Finds the best positive-value rectangles of `m` under `model`: at most
+/// `cfg.topk`, best-first under the canonical (value, cols, rows) order.
 ///
-/// `value_of` maps a [`CubeId`] to its current value (weight, or 0 when
-/// covered elsewhere / divided) — the paper's `V` attribute read with the
-/// asking processor's identity baked in. Uses the default area cost
-/// model; see [`best_rectangle_with`] for custom objectives.
-pub fn best_rectangle(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    best_rectangle_seeded(m, value_of, cfg, None)
-}
-
-/// [`best_rectangle`], seeded with a rectangle from a *previous*
-/// extraction pass. The seed's columns are re-validated against the
-/// current matrix (its support and value are recomputed from scratch) so
-/// branch-and-bound pruning starts tight; a stale or worthless seed is
-/// simply ignored.
-pub fn best_rectangle_seeded(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Option<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangle_with_seed(m, &model, cfg, seed)
-}
-
-/// [`best_rectangle`] under an explicit [`CostModel`].
-pub fn best_rectangle_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    best_rectangle_with_seed(m, model, cfg, None)
-}
-
-/// [`best_rectangle_with`] with an optional previous-pass seed; see
-/// [`best_rectangle_seeded`].
-pub fn best_rectangle_with_seed(
+/// `seed` is a rectangle from a *previous* extraction pass. Its columns
+/// are re-validated against the current matrix (support and value
+/// recomputed from scratch) so branch-and-bound pruning starts tight; a
+/// stale or worthless seed is simply ignored.
+///
+/// Engines:
+///
+/// * `pool = Some((pool, update))` runs the pass on the caller's
+///   resident [`SearchPool`] at `max(par_threads, 1)` workers, with
+///   cross-pass ceilings driven by `update` (see [`crate::pool`]).
+/// * `pool = None` and `par_threads >= 1` runs one pass on a call-scoped
+///   pool with [`CeilingUpdate::Off`].
+/// * `pool = None` and `par_threads = 0` runs the sequential engine on
+///   the calling thread. With `topk = 1` it keeps the classic
+///   first-maximum-in-enumeration-order winner; with `topk > 1` it
+///   returns the canonical top-K like the parallel engine.
+///
+/// The pooled engine returns the canonical top-K for every thread count
+/// and every `update` mode.
+pub fn search(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
     seed: Option<&Rectangle>,
-) -> (Option<Rectangle>, SearchStats) {
-    let (rects, stats) = best_rectangles_with_seed(m, model, cfg, seed);
-    (rects.into_iter().next(), stats)
+    pool: Option<(&mut SearchPool, CeilingUpdate<'_>)>,
+) -> (Vec<Rectangle>, SearchStats) {
+    let row_full_value = row_full_values(m, model);
+    let seed_rect = seed.and_then(|s| revalidate_rectangle(m, model, cfg, s));
+    match pool {
+        Some((pool, update)) => {
+            pool_search(pool, m, model, cfg, &row_full_value, seed_rect, update)
+        }
+        None if cfg.par_threads >= 1 => pool_search(
+            &mut SearchPool::new(),
+            m,
+            model,
+            cfg,
+            &row_full_value,
+            seed_rect,
+            CeilingUpdate::Off,
+        ),
+        None if cfg.topk <= 1 => {
+            let mut acc = BestOne(seed_rect);
+            let stats = sequential_search(m, model, cfg, &row_full_value, &mut acc);
+            (acc.0.into_iter().collect(), stats)
+        }
+        None => {
+            let mut acc = TopK::new(cfg.topk);
+            if let Some(s) = seed_rect {
+                acc.insert(s);
+            }
+            let stats = sequential_search(m, model, cfg, &row_full_value, &mut acc);
+            (acc.into_vec(), stats)
+        }
+    }
 }
 
 /// The canonically best `k` of `candidates` (deduplicated, best-first
@@ -402,102 +419,27 @@ pub fn canonical_top_k(candidates: &[Rectangle], k: usize) -> Vec<Rectangle> {
     acc.into_vec()
 }
 
-/// Plural [`best_rectangle_seeded`]: collects up to `cfg.topk`
-/// rectangles, best-first. See [`best_rectangles_with_seed`].
-pub fn best_rectangles_seeded(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangles_with_seed(m, &model, cfg, seed)
-}
-
-/// Plural [`best_rectangle_with_seed`]: collects up to `cfg.topk`
-/// rectangles per pass, returned best-first under the canonical
-/// (value, cols, rows) order. With `topk = 1` the sequential engine
-/// keeps its classic first-maximum semantics (byte-identical to
-/// [`best_rectangle_with_seed`]); with `topk > 1` both the sequential
-/// and the parallel engine return exactly the canonical top-K of all
-/// positive rectangles, independent of thread count.
-pub fn best_rectangles_with_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let row_full_value = row_full_values(m, model);
-    let col_sets = m.col_row_sets();
-    // Per-call panel mirror for the tiled kernel; the resident pool
-    // keeps its panel across passes instead (see [`crate::pool`]).
-    let panel =
-        (cfg.tile_width > 0).then(|| TilePanels::build(m.rows().len(), &col_sets, cfg.tile_width));
-
-    let seed_rect = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
-
-    if cfg.par_threads >= 1 {
-        // The parallel engine runs the greedy sweep itself, striped
-        // across its workers (it dominates the sequential prologue once
-        // exploration is well-pruned).
-        return crate::par_search::search(
-            m,
-            model,
-            cfg,
-            &row_full_value,
-            &col_sets,
-            seed_rect,
-            panel.as_ref(),
-        );
-    }
-
-    if cfg.topk <= 1 {
-        let mut acc = BestOne(seed_rect);
-        let stats = sequential_search(
-            m,
-            model,
-            cfg,
-            &row_full_value,
-            &col_sets,
-            panel.as_ref(),
-            &mut acc,
-        );
-        (acc.0.into_iter().collect(), stats)
-    } else {
-        let mut acc = TopK::new(cfg.topk);
-        if let Some(s) = seed_rect {
-            acc.insert(s);
-        }
-        let stats = sequential_search(
-            m,
-            model,
-            cfg,
-            &row_full_value,
-            &col_sets,
-            panel.as_ref(),
-            &mut acc,
-        );
-        (acc.into_vec(), stats)
-    }
-}
-
 /// Classic sequential branch and bound over column sets ordered by
 /// leftmost column, generic over the collector (monomorphized, so the
-/// best-only path compiles to exactly the pre-top-K engine). With a
-/// panel the per-task recursion runs [`Search::explore_tiled`] instead
-/// of [`Search::explore`] — same enumeration order, same prune/admit
-/// decisions, byte-identical results.
+/// best-only path keeps the first-maximum rule). Builds a fresh panel
+/// per call; the resident pool keeps its own across passes.
 fn sequential_search<C: Collect>(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
     row_full_value: &[i64],
-    col_sets: &[RowSet],
-    panel: Option<&TilePanels>,
     acc: &mut C,
 ) -> SearchStats {
+    let panel = &TilePanels::build(m.rows().len(), m.cols());
     if cfg.greedy_seed {
-        greedy_sweep(m, model, cfg, row_full_value, col_sets, panel, acc);
+        let mut bufs = GreedyBufs::default();
+        for r in 0..m.rows().len() {
+            if let Some(rect) =
+                greedy_row(m, model, cfg, panel, row_full_value, r, &mut bufs, &*acc)
+            {
+                acc.offer(rect);
+            }
+        }
     }
 
     let mut state = Search {
@@ -505,7 +447,6 @@ fn sequential_search<C: Collect>(
         model,
         cfg,
         row_full_value,
-        col_sets,
         panel,
         visited: 0,
         truncated: false,
@@ -514,15 +455,13 @@ fn sequential_search<C: Collect>(
         acc,
         cols: Vec::new(),
         scratch: Vec::new(),
-        tscratch: Vec::new(),
         cand: Vec::new(),
         rows_buf: Vec::new(),
         seen: FxHashSet::default(),
-        root: RowSet::new(),
-        troot: TiledSupport::default(),
     };
-    for (c0, cset) in col_sets.iter().enumerate() {
-        if !stripe_admits(cfg, c0) || cset.is_empty() {
+    let mut root = TiledSupport::default();
+    for (c0, col) in m.cols().iter().enumerate() {
+        if !stripe_admits(cfg, c0) || col.rows.is_empty() {
             continue;
         }
         if state.truncated {
@@ -530,15 +469,8 @@ fn sequential_search<C: Collect>(
         }
         state.cols.clear();
         state.cols.push(c0);
-        if let Some(p) = state.panel {
-            let mut troot = std::mem::take(&mut state.troot);
-            troot.load_col(p, c0);
-            state.troot = state.explore_tiled(0, troot);
-        } else {
-            let mut root = std::mem::take(&mut state.root);
-            root.copy_from(cset);
-            state.root = state.explore(0, root);
-        }
+        root.load_col(panel, c0);
+        root = state.explore(0, root);
     }
     SearchStats {
         visited: state.visited,
@@ -546,64 +478,6 @@ fn sequential_search<C: Collect>(
         pruned: state.pruned,
         bound_updates: state.bound_updates,
     }
-}
-
-/// [`best_rectangle_seeded`] executed on a persistent [`SearchPool`]
-/// instead of per-call spawned threads: zero thread spawns on a warm
-/// pool, per-worker scratch reused across passes, and optional
-/// cross-pass per-column ceilings driven by `update` (see
-/// [`crate::pool`]). Results are byte-identical to the spawn executor
-/// for every thread count and every `update` mode.
-pub fn best_rectangle_pooled(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Option<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangle_pooled_with(m, &model, cfg, seed, pool, update)
-}
-
-/// [`best_rectangle_pooled`] under an explicit [`CostModel`].
-pub fn best_rectangle_pooled_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Option<Rectangle>, SearchStats) {
-    let (rects, stats) = crate::pool::pool_search_seeded(pool, m, model, cfg, seed, update);
-    (rects.into_iter().next(), stats)
-}
-
-/// Plural [`best_rectangle_pooled`]: up to `cfg.topk` rectangles,
-/// best-first, on the persistent pool. See [`best_rectangles_with_seed`]
-/// for the top-K semantics.
-pub fn best_rectangles_pooled(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangles_pooled_with(m, &model, cfg, seed, pool, update)
-}
-
-/// [`best_rectangles_pooled`] under an explicit [`CostModel`].
-pub fn best_rectangles_pooled_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    crate::pool::pool_search_seeded(pool, m, model, cfg, seed, update)
 }
 
 /// Whether the stripe filter admits `c` as a leftmost column.
@@ -637,9 +511,8 @@ struct Search<'a, C: Collect> {
     model: &'a CostModel<'a>,
     cfg: &'a SearchConfig,
     row_full_value: &'a [i64],
-    col_sets: &'a [RowSet],
-    /// Column-major tile mirror; `Some` selects the tiled kernel.
-    panel: Option<&'a TilePanels>,
+    /// Column-major tile mirror of the matrix.
+    panel: &'a TilePanels,
     /// Column sets fully expanded so far.
     visited: u64,
     /// Set when an expansion was denied by the budget.
@@ -651,28 +524,21 @@ struct Search<'a, C: Collect> {
     acc: &'a mut C,
     /// Current column set (shared across the recursion as a stack).
     cols: Vec<ColIdx>,
-    /// Per-depth row-support buffers, reused between branches.
-    scratch: Vec<RowSet>,
-    /// Per-depth tiled-support buffers (the tiled kernel's twin of
-    /// `scratch`).
-    tscratch: Vec<TiledSupport>,
+    /// Per-depth support buffers, reused between branches.
+    scratch: Vec<TiledSupport>,
     /// Per-depth candidate-column bitsets (universe = column count).
     cand: Vec<RowSet>,
     /// Reusable row-index buffer for exact evaluation.
     rows_buf: Vec<RowIdx>,
     /// Reusable dedup set for exact evaluation.
     seen: FxHashSet<CubeId>,
-    /// Reusable root support buffer for the leftmost-column loop.
-    root: RowSet,
-    /// Tiled twin of `root`.
-    troot: TiledSupport,
 }
 
 impl<C: Collect> Search<'_, C> {
     /// Expands the current column set (`self.cols`) whose supporting
     /// rows are `rows`. `depth` indexes the scratch pool. Returns the
     /// `rows` buffer so the caller can pool it.
-    fn explore(&mut self, depth: usize, rows: RowSet) -> RowSet {
+    fn explore(&mut self, depth: usize, rows: TiledSupport) -> TiledSupport {
         if self.visited >= self.cfg.budget {
             self.truncated = true;
             return rows;
@@ -684,7 +550,7 @@ impl<C: Collect> Search<'_, C> {
             // bound on the exact value, so the exact (allocating) pass
             // only runs on candidates the collector could still keep.
             let approx = approx_value(self.m, self.model, &self.cols, &rows);
-            if self.acc.admits(approx) {
+            if self.acc.admits(approx, &self.cols) {
                 self.rows_buf.clear();
                 rows.collect_into(&mut self.rows_buf);
                 self.seen.clear();
@@ -709,7 +575,7 @@ impl<C: Collect> Search<'_, C> {
         // intersecting against every column of the matrix.
         let from = self.cols.last().copied().unwrap_or(0) + 1;
         if self.scratch.len() <= depth {
-            self.scratch.resize_with(depth + 1, RowSet::new);
+            self.scratch.resize_with(depth + 1, TiledSupport::default);
             self.cand.resize_with(depth + 1, RowSet::new);
         }
         let mut cand = std::mem::take(&mut self.cand[depth]);
@@ -722,13 +588,12 @@ impl<C: Collect> Search<'_, C> {
             }
         }
         for c in &cand {
-            // rows ∩ rows(c), into the per-depth scratch buffer.
+            // rows ∩ rows(c) into the per-depth scratch buffer, fused
+            // with the admissible bound: every surviving row can
+            // contribute at most its full-row value; column costs only
+            // grow.
             let mut shared = std::mem::take(&mut self.scratch[depth]);
-            shared.assign_and(&rows, &self.col_sets[c]);
-            debug_assert!(!shared.is_empty(), "candidate columns share a row");
-            // Admissible bound: every surviving row can contribute at
-            // most its full-row value; column costs only grow.
-            let ub: i64 = shared.iter().map(|r| self.row_full_value[r].max(0)).sum();
+            let ub = shared.and_ub_from(&rows, self.panel, c, self.row_full_value);
             if self.acc.prunes(ub) {
                 self.pruned += 1;
                 self.scratch[depth] = shared;
@@ -737,76 +602,6 @@ impl<C: Collect> Search<'_, C> {
             self.cols.push(c);
             let buf = self.explore(depth + 1, shared);
             self.scratch[depth] = buf;
-            self.cols.pop();
-            if self.truncated {
-                // Terminal unwind — skip restoring the candidate pool.
-                return rows;
-            }
-        }
-        self.cand[depth] = cand;
-        rows
-    }
-
-    /// [`Search::explore`] over the tiled kernel: the support is a
-    /// [`TiledSupport`] and the per-candidate intersection+bound is the
-    /// fused [`TiledSupport::and_ub_from`] pass over the parent's live
-    /// tiles. Enumeration order, budget accounting and every
-    /// prune/admit decision match the scalar body exactly.
-    fn explore_tiled(&mut self, depth: usize, rows: TiledSupport) -> TiledSupport {
-        if self.visited >= self.cfg.budget {
-            self.truncated = true;
-            return rows;
-        }
-        self.visited += 1;
-
-        if self.cols.len() >= self.cfg.min_cols {
-            let approx = approx_value_rows(self.m, self.model, &self.cols, rows.iter());
-            if self.acc.admits(approx) {
-                self.rows_buf.clear();
-                rows.collect_into(&mut self.rows_buf);
-                self.seen.clear();
-                if let Some(rect) = evaluate_with(
-                    self.m,
-                    self.model,
-                    &self.cols,
-                    &self.rows_buf,
-                    &mut self.seen,
-                ) {
-                    if self.acc.offer(rect) {
-                        self.bound_updates += 1;
-                    }
-                }
-            }
-        }
-
-        let from = self.cols.last().copied().unwrap_or(0) + 1;
-        if self.tscratch.len() <= depth {
-            self.tscratch.resize_with(depth + 1, TiledSupport::default);
-        }
-        if self.cand.len() <= depth {
-            self.cand.resize_with(depth + 1, RowSet::new);
-        }
-        let mut cand = std::mem::take(&mut self.cand[depth]);
-        cand.reset(self.m.cols().len());
-        for r in &rows {
-            for &(c, _) in &self.m.rows()[r].entries {
-                if c >= from {
-                    cand.insert(c);
-                }
-            }
-        }
-        let panel = self.panel.expect("tiled explore requires a panel");
-        for c in &cand {
-            let mut shared = std::mem::take(&mut self.tscratch[depth]);
-            let ub = shared.and_ub_from(&rows, panel, c, self.row_full_value);
-            if self.acc.prunes(ub) {
-                self.pruned += 1;
-                self.tscratch[depth] = shared;
-                continue;
-            }
-            self.cols.push(c);
-            let buf = self.explore_tiled(depth + 1, shared);
-            self.tscratch[depth] = buf;
             self.cols.pop();
             if self.truncated {
                 // Terminal unwind — skip restoring the candidate pool.
@@ -826,20 +621,7 @@ pub(crate) fn approx_value(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cols: &[ColIdx],
-    rows: &RowSet,
-) -> i64 {
-    approx_value_rows(m, model, cols, rows.iter())
-}
-
-/// [`approx_value`] over any ascending row iterator — shared by the
-/// scalar ([`RowSet`]) and tiled ([`TiledSupport`]) supports. The sum
-/// is order-independent, so both paths produce the same value bit for
-/// bit.
-pub(crate) fn approx_value_rows(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cols: &[ColIdx],
-    rows: impl IntoIterator<Item = RowIdx>,
+    rows: &TiledSupport,
 ) -> i64 {
     let col_cost: i64 = cols
         .iter()
@@ -928,24 +710,11 @@ pub fn revalidate_rectangle(
     cfg: &SearchConfig,
     rect: &Rectangle,
 ) -> Option<Rectangle> {
-    revalidate_seed(m, model, cfg, rect)
-}
-
-/// Re-validates a previous-pass rectangle against the *current* matrix:
-/// recomputes the support of its column set and the exact value. Returns
-/// `None` when the columns vanished, the support is empty, or the value
-/// is no longer positive.
-pub(crate) fn revalidate_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: &Rectangle,
-) -> Option<Rectangle> {
-    if seed.cols.len() < cfg.min_cols || seed.cols.iter().any(|&c| c >= m.cols().len()) {
+    if rect.cols.len() < cfg.min_cols || rect.cols.iter().any(|&c| c >= m.cols().len()) {
         return None;
     }
-    let mut support = m.cols()[seed.cols[0]].rows.clone();
-    for &c in &seed.cols[1..] {
+    let mut support = m.cols()[rect.cols[0]].rows.clone();
+    for &c in &rect.cols[1..] {
         support = KcMatrix::intersect_rows(&support, &m.cols()[c].rows);
         if support.is_empty() {
             return None;
@@ -955,17 +724,16 @@ pub(crate) fn revalidate_seed(
         return None;
     }
     let mut seen = FxHashSet::default();
-    evaluate_with(m, model, &seed.cols, &support, &mut seen)
+    evaluate_with(m, model, &rect.cols, &support, &mut seen)
 }
 
 /// Reusable buffers for [`greedy_row`]; one per sweeping thread.
 #[derive(Default)]
 pub(crate) struct GreedyBufs {
     seen: FxHashSet<CubeId>,
-    support: RowSet,
     rows_buf: Vec<RowIdx>,
     cols: Vec<ColIdx>,
-    /// Ping-pong tiled supports for [`greedy_row_tiled`].
+    /// Ping-pong supports for the running intersection.
     ta: TiledSupport,
     tb: TiledSupport,
 }
@@ -973,53 +741,18 @@ pub(crate) struct GreedyBufs {
 /// One step of the greedy sweep: takes row `r`'s full column set as the
 /// candidate kernel and evaluates the optimal rectangle for it. Returns
 /// `None` for dead, too-narrow, stripe-rejected, or worthless rows.
-pub(crate) fn greedy_row(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    col_sets: &[RowSet],
-    r: RowIdx,
-    bufs: &mut GreedyBufs,
-) -> Option<Rectangle> {
-    let row = &m.rows()[r];
-    if !row.alive || row.entries.len() < cfg.min_cols {
-        return None;
-    }
-    bufs.cols.clear();
-    bufs.cols.extend(row.entries.iter().map(|&(c, _)| c));
-    // Stripe filter applies to the leftmost column for consistency with
-    // the exact search.
-    if !stripe_admits(cfg, bufs.cols[0]) {
-        return None;
-    }
-    // Supporting rows: intersection of the column row-sets.
-    bufs.support.copy_from(&col_sets[bufs.cols[0]]);
-    for &c in &bufs.cols[1..] {
-        bufs.support.and_with(&col_sets[c]);
-        if bufs.support.is_empty() {
-            return None;
-        }
-    }
-    bufs.rows_buf.clear();
-    bufs.support.collect_into(&mut bufs.rows_buf);
-    bufs.seen.clear();
-    evaluate_with(m, model, &bufs.cols, &bufs.rows_buf, &mut bufs.seen)
-}
-
-/// [`greedy_row`] over the tiled kernel. The support intersection runs
-/// the fused [`TiledSupport::and_ub_from`] pass, whose by-product — the
-/// admissible bound `Σ max(row_full_value, 0)` over the survivors —
-/// gates the exact evaluation against the collector: a row whose bound
-/// (minus column costs) fails [`Collect::admits`] cannot change the
-/// collector's state (both collectors' `admits` are conservative on
-/// ties), so its collect + hash-dedup evaluation is skipped outright.
-/// The greedy sweep dominates search wall time on well-pruned matrices,
-/// and most rows die at this gate once the first strong rows set the
-/// bar — this is where the tiled kernel's speedup lives. Results are
-/// byte-identical to the scalar sweep by the admissibility argument;
-/// only the work done changes.
+///
+/// The support intersection runs the fused [`TiledSupport::and_ub_from`]
+/// pass, whose by-product — the admissible bound `Σ max(row_full_value,
+/// 0)` over the survivors — gates the exact evaluation against the
+/// collector: a row whose bound (minus column costs) fails
+/// [`Collect::admits`] cannot change the collector's state (both
+/// collectors' `admits` are conservative on ties), so its collect +
+/// hash-dedup evaluation is skipped outright. The greedy sweep dominates
+/// search wall time on well-pruned matrices, and most rows die at this
+/// gate once the first strong rows set the bar.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_row_tiled<C: Collect>(
+pub(crate) fn greedy_row<C: Collect>(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
@@ -1035,6 +768,8 @@ pub(crate) fn greedy_row_tiled<C: Collect>(
     }
     bufs.cols.clear();
     bufs.cols.extend(row.entries.iter().map(|&(c, _)| c));
+    // Stripe filter applies to the leftmost column for consistency with
+    // the exact search.
     if !stripe_admits(cfg, bufs.cols[0]) {
         return None;
     }
@@ -1058,38 +793,13 @@ pub(crate) fn greedy_row_tiled<C: Collect>(
         .iter()
         .map(|&c| (model.col_cost)(&m.cols()[c].cube))
         .sum();
-    if !acc.admits(ub - col_cost) {
+    if !acc.admits(ub - col_cost, &bufs.cols) {
         return None;
     }
     bufs.rows_buf.clear();
     bufs.ta.collect_into(&mut bufs.rows_buf);
     bufs.seen.clear();
     evaluate_with(m, model, &bufs.cols, &bufs.rows_buf, &mut bufs.seen)
-}
-
-/// Greedy seed: [`greedy_row`] over every row, offered to the collector
-/// (first-strictly-better for [`BestOne`], canonical insert for
-/// [`TopK`]). O(rows × cols); seeds the branch-and-bound with a strong
-/// lower bound and is the fallback answer when the budget dies.
-fn greedy_sweep<C: Collect>(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    row_full_value: &[i64],
-    col_sets: &[RowSet],
-    panel: Option<&TilePanels>,
-    acc: &mut C,
-) {
-    let mut bufs = GreedyBufs::default();
-    for r in 0..m.rows().len() {
-        let rect = match panel {
-            Some(p) => greedy_row_tiled(m, model, cfg, p, row_full_value, r, &mut bufs, &*acc),
-            None => greedy_row(m, model, cfg, col_sets, r, &mut bufs),
-        };
-        if let Some(rect) = rect {
-            acc.offer(rect);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1099,6 +809,36 @@ mod tests {
     use crate::registry::CubeRegistry;
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit};
+
+    /// The best rectangles of one search, pool-less.
+    fn top(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+    ) -> (Vec<Rectangle>, SearchStats) {
+        search(m, &CostModel::area(value_of), cfg, seed, None)
+    }
+
+    /// The head of [`top`].
+    fn seeded(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+    ) -> (Option<Rectangle>, SearchStats) {
+        let (rects, stats) = top(m, value_of, cfg, seed);
+        (rects.into_iter().next(), stats)
+    }
+
+    /// [`seeded`] without a seed.
+    fn find(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+    ) -> (Option<Rectangle>, SearchStats) {
+        seeded(m, value_of, cfg, None)
+    }
 
     fn cube(ids: &[u32]) -> Cube {
         Cube::from_lits(ids.iter().map(|&i| Lit::pos(i)))
@@ -1137,7 +877,7 @@ mod tests {
     #[test]
     fn best_rectangle_on_paper_network_is_a_plus_b() {
         let (m, _reg, w) = paper_matrix();
-        let (best, stats) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+        let (best, stats) = find(&m, &|id| w[id as usize], &SearchConfig::default());
         let best = best.expect("positive rectangle exists");
         assert!(!stats.budget_exhausted);
         // Example 1.1: extracting X = a + b saves 8 literals.
@@ -1160,7 +900,7 @@ mod tests {
     #[test]
     fn exact_and_greedy_agree_on_paper_network() {
         let (m, _reg, w) = paper_matrix();
-        let exact = best_rectangle(
+        let exact = find(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1170,7 +910,7 @@ mod tests {
         )
         .0
         .unwrap();
-        let seeded = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let seeded = find(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         assert_eq!(exact.value, seeded.value);
@@ -1181,7 +921,7 @@ mod tests {
         // The union of the best rectangles over all stripes must contain
         // a rectangle as good as the global best (Figure 1's reduction).
         let (m, _reg, w) = paper_matrix();
-        let global = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let global = find(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         let nprocs = 3u32;
@@ -1191,7 +931,7 @@ mod tests {
                 stripe: Some((p, nprocs)),
                 ..SearchConfig::default()
             };
-            if let (Some(r), _) = best_rectangle(&m, &|id| w[id as usize], &cfg) {
+            if let (Some(r), _) = find(&m, &|id| w[id as usize], &cfg) {
                 best_striped = best_striped.max(r.value);
             }
         }
@@ -1217,9 +957,7 @@ mod tests {
                 w[id as usize]
             }
         };
-        let best = best_rectangle(&m, &value_of, &SearchConfig::default())
-            .0
-            .unwrap();
+        let best = find(&m, &value_of, &SearchConfig::default()).0.unwrap();
         // a+b over F only: covered 2+2+3+3=10, rows (f:2)+(de:3)=5, cols 2 ⇒ 3
         // but other kernels may do better; value must drop below 8.
         assert!(best.value < 8);
@@ -1232,7 +970,7 @@ mod tests {
     #[test]
     fn budget_falls_back_to_greedy() {
         let (m, _reg, w) = paper_matrix();
-        let (best, stats) = best_rectangle(
+        let (best, stats) = find(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1252,9 +990,9 @@ mod tests {
         // re-run with the budget set to precisely that count: the search
         // still completes, so it must NOT report exhaustion.
         let (m, _reg, w) = paper_matrix();
-        let (_, free) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+        let (_, free) = find(&m, &|id| w[id as usize], &SearchConfig::default());
         assert!(free.visited > 1);
-        let (best, stats) = best_rectangle(
+        let (best, stats) = find(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1269,7 +1007,7 @@ mod tests {
         assert_eq!(stats.visited, free.visited);
         assert_eq!(best.unwrap().value, 8);
         // One fewer and the search is genuinely truncated.
-        let (_, short) = best_rectangle(
+        let (_, short) = find(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1296,7 +1034,7 @@ mod tests {
             &mut cl,
         );
         let w = reg.weights_snapshot();
-        let (best, _) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+        let (best, _) = find(&m, &|id| w[id as usize], &SearchConfig::default());
         assert!(best.is_none());
     }
 
@@ -1317,7 +1055,7 @@ mod tests {
             &mut cl,
         );
         let w = reg.weights_snapshot();
-        let best = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let best = find(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         assert_eq!(best.value, 2);
@@ -1334,7 +1072,7 @@ mod tests {
             min_cols: 1,
             ..SearchConfig::default()
         };
-        let best = best_rectangle(&m, &|id| w[id as usize], &cfg).0.unwrap();
+        let best = find(&m, &|id| w[id as usize], &cfg).0.unwrap();
         assert!(best.value >= 8); // at least as good as the 2-col optimum
     }
 
@@ -1355,7 +1093,7 @@ mod tests {
             &mut cl,
         );
         let w = reg.weights_snapshot();
-        let best = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let best = find(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         assert_eq!(best.value, 3);
@@ -1367,10 +1105,9 @@ mod tests {
         // unchanged (the seed re-validates to the same rectangle).
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
-        let (best, _) = best_rectangle(&m, &value_of, &SearchConfig::default());
+        let (best, _) = find(&m, &value_of, &SearchConfig::default());
         let best = best.unwrap();
-        let (seeded, _) =
-            best_rectangle_seeded(&m, &value_of, &SearchConfig::default(), Some(&best));
+        let (seeded, _) = seeded(&m, &value_of, &SearchConfig::default(), Some(&best));
         assert_eq!(seeded.unwrap().value, best.value);
     }
 
@@ -1385,8 +1122,7 @@ mod tests {
             cols: vec![9999, 10000],
             value: 123,
         };
-        let (best, _) =
-            best_rectangle_seeded(&m, &value_of, &SearchConfig::default(), Some(&stale));
+        let (best, _) = seeded(&m, &value_of, &SearchConfig::default(), Some(&stale));
         assert_eq!(best.unwrap().value, 8);
     }
 
@@ -1394,7 +1130,7 @@ mod tests {
     fn parallel_matches_sequential_and_is_thread_count_independent() {
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
-        let (seq_best, _) = best_rectangle(&m, &value_of, &SearchConfig::default());
+        let (seq_best, _) = find(&m, &value_of, &SearchConfig::default());
         let seq_best = seq_best.unwrap();
         let mut prior: Option<Rectangle> = None;
         for threads in [1usize, 2, 4, 8] {
@@ -1402,7 +1138,7 @@ mod tests {
                 par_threads: threads,
                 ..SearchConfig::default()
             };
-            let (par_best, stats) = best_rectangle(&m, &value_of, &cfg);
+            let (par_best, stats) = find(&m, &value_of, &cfg);
             let par_best = par_best.unwrap();
             assert!(!stats.budget_exhausted);
             assert_eq!(par_best.value, seq_best.value, "threads={threads}");
@@ -1424,7 +1160,7 @@ mod tests {
                 par_threads: threads,
                 ..SearchConfig::default()
             };
-            let (best, stats) = best_rectangle(&m, &value_of, &cfg);
+            let (best, stats) = find(&m, &value_of, &cfg);
             assert!(stats.budget_exhausted);
             let best = best.unwrap();
             assert_eq!(best.value, 8); // greedy finds a+b (a full row)
@@ -1443,7 +1179,7 @@ mod tests {
             topk: 4,
             ..SearchConfig::default()
         };
-        let (rects, stats) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let (rects, stats) = top(&m, &value_of, &cfg, None);
         assert!(!stats.budget_exhausted);
         assert!(rects.len() > 1, "paper matrix holds several rectangles");
         assert!(rects.len() <= 4);
@@ -1463,32 +1199,16 @@ mod tests {
                 topk: k,
                 ..SearchConfig::default()
             };
-            let (seq_rects, _) = best_rectangles_seeded(&m, &value_of, &seq_cfg, None);
+            let (seq_rects, _) = top(&m, &value_of, &seq_cfg, None);
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SearchConfig {
                     topk: k,
                     par_threads: threads,
                     ..SearchConfig::default()
                 };
-                let (par_rects, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+                let (par_rects, _) = top(&m, &value_of, &cfg, None);
                 assert_eq!(par_rects, seq_rects, "k={k} threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn plural_with_k1_matches_singular_exactly() {
-        let (m, _reg, w) = paper_matrix();
-        let value_of = |id: CubeId| w[id as usize];
-        for threads in [0usize, 1, 4] {
-            let cfg = SearchConfig {
-                par_threads: threads,
-                ..SearchConfig::default()
-            };
-            let (single, _) = best_rectangle_seeded(&m, &value_of, &cfg, None);
-            let (plural, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-            assert_eq!(plural.len(), 1);
-            assert_eq!(plural[0], single.unwrap(), "threads={threads}");
         }
     }
 
@@ -1500,8 +1220,8 @@ mod tests {
             topk: 4,
             ..SearchConfig::default()
         };
-        let (unseeded, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-        let (seeded, _) = best_rectangles_seeded(&m, &value_of, &cfg, Some(&unseeded[0]));
+        let (unseeded, _) = top(&m, &value_of, &cfg, None);
+        let (seeded, _) = top(&m, &value_of, &cfg, Some(&unseeded[0]));
         assert_eq!(seeded, unseeded, "re-validated seed dedups into the batch");
     }
 

@@ -1,6 +1,6 @@
 //! Reference rectangle search: the original sorted-`Vec<RowIdx>`
 //! implementation, kept verbatim as a differential-testing oracle for
-//! the bitset engine in [`crate::rectangle`].
+//! the tiled engine in [`crate::rectangle`].
 //!
 //! It mirrors the classic sequential path exactly — same enumeration
 //! order, same pruning, same first-found-max tie handling, and the same
@@ -13,41 +13,22 @@
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    evaluate_with, revalidate_seed, row_full_values, stripe_admits, CostModel, Rectangle,
-    SearchConfig, SearchStats,
+    evaluate_with, row_full_values, stripe_admits, CostModel, Rectangle, SearchConfig, SearchStats,
 };
 use crate::registry::CubeId;
 use pf_sop::fx::FxHashSet;
 
-/// Sequential vec-based [`crate::rectangle::best_rectangle`].
-pub fn best_rectangle(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangle_with_seed(m, &model, cfg, None)
-}
-
-/// Sequential vec-based [`crate::rectangle::best_rectangle_with`].
-pub fn best_rectangle_with(
+/// Sequential vec-based twin of [`crate::rectangle::search`] with
+/// `par_threads = 0`, `topk = 1` and no seed: the first maximum-value
+/// rectangle in enumeration order.
+pub fn search(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    best_rectangle_with_seed(m, model, cfg, None)
-}
-
-/// Sequential vec-based [`crate::rectangle::best_rectangle_with_seed`].
-pub fn best_rectangle_with_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
 ) -> (Option<Rectangle>, SearchStats) {
     let row_full_value = row_full_values(m, model);
 
-    let mut best = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
+    let mut best = None;
     if cfg.greedy_seed {
         greedy_sweep(m, model, cfg, &mut best);
     }
@@ -204,7 +185,7 @@ pub(crate) fn intersect_into(a: &[RowIdx], b: &[RowIdx], out: &mut Vec<RowIdx>) 
 }
 
 /// Greedy seed, vec flavour — candidate set and tie handling identical
-/// to the bitset `greedy_sweep` in [`crate::rectangle`].
+/// to the greedy sweep in [`crate::rectangle`].
 fn greedy_sweep(
     m: &KcMatrix,
     model: &CostModel<'_>,
@@ -257,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_matches_bitset_engine_on_paper_g() {
+    fn oracle_matches_the_engine_on_paper_g() {
         let reg = CubeRegistry::new();
         let mut m = KcMatrix::new();
         let mut rl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
@@ -272,10 +253,11 @@ mod tests {
         );
         let w = reg.weights_snapshot();
         let value_of = |id: crate::registry::CubeId| w[id as usize];
+        let model = CostModel::area(&value_of);
         let cfg = SearchConfig::default();
-        let (ours, our_stats) = best_rectangle(&m, &value_of, &cfg);
-        let (theirs, their_stats) = crate::rectangle::best_rectangle(&m, &value_of, &cfg);
-        assert_eq!(ours, theirs);
+        let (ours, our_stats) = search(&m, &model, &cfg);
+        let (theirs, their_stats) = crate::rectangle::search(&m, &model, &cfg, None, None);
+        assert_eq!(ours.into_iter().collect::<Vec<_>>(), theirs);
         assert_eq!(our_stats.visited, their_stats.visited);
         assert_eq!(our_stats.budget_exhausted, their_stats.budget_exhausted);
     }

@@ -1,15 +1,9 @@
-//! Dense `u64`-word bitsets over row indices.
+//! Dense `u64`-word bitsets over row (or column) indices.
 //!
-//! The rectangle search spends most of its time intersecting row-sets —
-//! "which rows support this column set?" — and summing per-row bounds
-//! over the result. A sorted `Vec<RowIdx>` merge costs one branchy
-//! compare per element; a dense bitset costs one `AND` + `popcount` per
-//! 64 rows with no branches and no allocation (buffers are pooled per
-//! recursion depth). At KC-matrix densities (hundreds of rows, column
-//! supports of 2–50 rows) the word loop wins by a wide margin.
-//!
-//! All sets over one matrix share the same universe (`row count` bits),
-//! so intersections are plain word-wise `AND`s without bounds juggling.
+//! The rectangle search marks each node's candidate extension columns
+//! into a pooled `RowSet` (which dedups and sorts them for free). The
+//! search's supports themselves live in the tiled layout of
+//! [`crate::tiles`].
 
 /// A set of row indices, stored one bit per row.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -19,7 +13,7 @@ pub struct RowSet {
 
 impl RowSet {
     /// The empty set with zero capacity. Useful as a pooled scratch
-    /// buffer: the first [`RowSet::assign_and`] sizes it.
+    /// buffer: the first [`RowSet::reset`] sizes it.
     pub fn new() -> Self {
         RowSet { words: Vec::new() }
     }
@@ -63,22 +57,6 @@ impl RowSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// `self = a ∩ b`, reusing `self`'s allocation. `a` and `b` must
-    /// share a universe (same word count); `self` is resized to match.
-    pub fn assign_and(&mut self, a: &RowSet, b: &RowSet) {
-        debug_assert_eq!(a.words.len(), b.words.len(), "universe mismatch");
-        self.words.clear();
-        self.words
-            .extend(a.words.iter().zip(&b.words).map(|(x, y)| x & y));
-    }
-
-    /// `self = src`, reusing `self`'s allocation (unlike the derived
-    /// `Clone::clone_from`, which reallocates).
-    pub fn copy_from(&mut self, src: &RowSet) {
-        self.words.clear();
-        self.words.extend_from_slice(&src.words);
-    }
-
     /// Empties the set and resizes it for a universe of `nbits` rows,
     /// reusing the allocation.
     pub fn reset(&mut self, nbits: usize) {
@@ -86,17 +64,8 @@ impl RowSet {
         self.words.resize(nbits.div_ceil(64), 0);
     }
 
-    /// Intersects `b` into `self` in place.
-    pub fn and_with(&mut self, b: &RowSet) {
-        debug_assert_eq!(self.words.len(), b.words.len(), "universe mismatch");
-        for (w, &o) in self.words.iter_mut().zip(&b.words) {
-            *w &= o;
-        }
-    }
-
     /// The backing words, least-significant row first. The final word
     /// may cover rows past the universe; those bits are always zero.
-    /// [`crate::tiles::TilePanels`] mirrors columns from this slice.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
@@ -171,35 +140,6 @@ mod tests {
         assert_eq!(s.iter().count(), 0);
         assert!(RowSet::new().is_empty());
         assert_eq!(RowSet::new().iter().count(), 0);
-    }
-
-    #[test]
-    fn intersection_matches_sorted_merge() {
-        let a: Vec<usize> = vec![1, 3, 5, 9, 64, 65, 200];
-        let b: Vec<usize> = vec![2, 3, 9, 10, 65, 199, 200];
-        let sa = RowSet::from_indices(a.iter().copied(), 201);
-        let sb = RowSet::from_indices(b.iter().copied(), 201);
-        let mut out = RowSet::new();
-        out.assign_and(&sa, &sb);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![3, 9, 65, 200]);
-        assert_eq!(out.len(), 4);
-
-        let mut inplace = sa.clone();
-        inplace.and_with(&sb);
-        assert_eq!(inplace, out);
-    }
-
-    #[test]
-    fn assign_and_reuses_allocation() {
-        let sa = RowSet::from_indices([0, 7], 128);
-        let sb = RowSet::from_indices([7, 100], 128);
-        let mut scratch = RowSet::new(); // zero-capacity pool entry
-        scratch.assign_and(&sa, &sb);
-        assert_eq!(scratch.iter().collect::<Vec<_>>(), vec![7]);
-        // Reuse with a different pair — stale bits must not survive.
-        let sc = RowSet::from_indices([1], 128);
-        scratch.assign_and(&sa, &sc);
-        assert!(scratch.is_empty());
     }
 
     #[test]

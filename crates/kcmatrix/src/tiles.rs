@@ -1,15 +1,14 @@
-//! Column-major tiled mirror of the KC matrix for the cache-blocked
-//! rectangle-search kernel.
+//! Column-major tiled mirror of the KC matrix: the support
+//! representation of the rectangle search.
 //!
 //! The branch-and-bound inner loop does one thing millions of times:
 //! intersect the current support with a candidate column's row-set and
-//! sum the admissible per-row bound over the survivors. The scalar
-//! [`crate::rowset::RowSet`] path walks *every* word of the universe per
-//! candidate. This module restructures the same data for that loop:
+//! sum the admissible per-row bound over the survivors. This module lays
+//! the data out for that loop:
 //!
 //! * **Panels.** Each column's row bitset is mirrored into a
 //!   `TilePanels` buffer, column-major (`data[c * stride + w]`), with
-//!   `stride` padded up to a multiple of the tile width so every column
+//!   `stride` padded up to a multiple of [`TILE_WIDTH`] so every column
 //!   is a whole number of fixed-width u64 tiles. One candidate probe
 //!   streams one contiguous column — no per-row gathers.
 //! * **Live-tile lists.** A support ([`TiledSupport`]) carries the
@@ -18,9 +17,9 @@
 //!   support is always a subset), so sparse supports skip almost the
 //!   whole universe.
 //! * **Fused AND + bound.** [`TiledSupport::and_ub_from`] computes the
-//!   child support and its admissible bound in a single pass: 4-wide
-//!   unrolled word groups, an OR reduction for the dead-tile early
-//!   exit, and a `count`-style bit walk only over surviving words.
+//!   child support and its admissible bound in a single pass: one
+//!   fixed-width word group per tile, an OR reduction for the dead-tile
+//!   early exit, and a bit walk only over surviving words.
 //!
 //! Words outside a support's live tiles are **stale** — never read,
 //! never zeroed. Iteration and intersection are driven exclusively by
@@ -29,34 +28,36 @@
 //!
 //! # Sync invariants
 //!
-//! A panel is a *mirror*: it must stay byte-equal to the per-column
-//! row-sets it was built from. The holders keep it in sync as follows:
+//! A panel is a *mirror*: it must stay byte-equal to the matrix's
+//! per-column row lists. The holders keep it in sync as follows:
 //!
-//! 1. The spawn/sequential executors build a fresh panel per search
-//!    call ([`TilePanels::build`]) — trivially in sync.
+//! 1. The sequential engine builds a fresh panel per search call
+//!    ([`TilePanels::build`]) — trivially in sync.
 //! 2. The resident [`crate::pool::SearchPool`] keeps one panel across
 //!    passes and drives [`TilePanels::sync`] from the same
 //!    [`crate::pool::CeilingUpdate`] bookkeeping as the ceilings: the
 //!    caller's dirty-column list must cover every column that gained or
 //!    lost a row (tombstoned rows' entry columns and appended rows'
 //!    columns — exactly the `Engine::apply` contract). Appended columns
-//!    are encoded fresh; a width change or a row-universe change that
-//!    no longer fits the padded stride triggers a full rebuild.
-//! 3. Results are byte-identical to the scalar path by construction:
-//!    the candidate enumeration order is unchanged and the fused bound
-//!    is an order-independent integer sum, so every prune/admit
-//!    decision matches word-for-word.
+//!    are encoded fresh; a row-universe change that no longer fits the
+//!    padded stride triggers a full rebuild.
+//! 3. Enumeration order does not depend on the layout and the fused
+//!    bound is an order-independent integer sum, so the results match
+//!    the sorted-vec [`crate::reference`] oracle exactly.
 
-use crate::matrix::ColIdx;
-use crate::rowset::RowSet;
+use crate::matrix::{ColIdx, KcCol, RowIdx};
+
+/// Words per tile. Width 4 (256 rows) was the fastest of 2/4/8 at both
+/// measured dalu scales (see `BENCH_rect.json` history in
+/// EXPERIMENTS.md); a fixed width lets the compiler unroll the tile
+/// loops completely.
+pub const TILE_WIDTH: usize = 4;
 
 /// Column-major mirror of the per-column row bitsets, padded to whole
-/// tiles of `width` u64 words.
+/// tiles of [`TILE_WIDTH`] u64 words.
 #[derive(Clone, Debug, Default)]
 pub struct TilePanels {
-    /// Words per tile (the `--tile-width` knob; `>= 1`).
-    width: usize,
-    /// Words per column; a multiple of `width`, covering the row
+    /// Words per column; a multiple of [`TILE_WIDTH`], covering the row
     /// universe with zero padding above it.
     stride: usize,
     /// Rows the panel was encoded for (`ceil(nrows / 64)` words used).
@@ -68,21 +69,18 @@ pub struct TilePanels {
 }
 
 impl TilePanels {
-    /// Builds a fresh panel mirror of `col_sets` (the per-column row
-    /// bitsets over a universe of `nrows` rows).
-    pub fn build(nrows: usize, col_sets: &[RowSet], width: usize) -> Self {
-        let width = width.max(1);
-        let nwords = nrows.div_ceil(64);
-        let stride = nwords.div_ceil(width).max(1) * width;
+    /// Builds a fresh panel mirror of `cols`' row lists over a universe
+    /// of `nrows` rows (`m.rows().len()`, `m.cols()` for a matrix `m`).
+    pub fn build(nrows: usize, cols: &[KcCol]) -> Self {
+        let stride = nrows.div_ceil(64).div_ceil(TILE_WIDTH).max(1) * TILE_WIDTH;
         let mut p = TilePanels {
-            width,
             stride,
             nrows,
-            ncols: col_sets.len(),
-            data: vec![0; col_sets.len() * stride],
+            ncols: cols.len(),
+            data: vec![0; cols.len() * stride],
         };
-        for (c, set) in col_sets.iter().enumerate() {
-            p.encode_col(c, set);
+        for (c, col) in cols.iter().enumerate() {
+            p.encode_col(c, &col.rows);
         }
         p
     }
@@ -90,52 +88,35 @@ impl TilePanels {
     /// Re-syncs an existing panel to the current matrix: appended
     /// columns are encoded fresh, `dirty` columns re-encoded in place,
     /// everything else kept. Falls back to a full rebuild (returning
-    /// `true`) when the width changed or the row universe no longer
-    /// fits the padded stride.
-    pub fn sync(
-        &mut self,
-        nrows: usize,
-        col_sets: &[RowSet],
-        width: usize,
-        dirty: &[ColIdx],
-    ) -> bool {
-        let width = width.max(1);
-        let nwords = nrows.div_ceil(64);
-        if width != self.width
-            || nwords > self.stride
-            || nrows < self.nrows
-            || col_sets.len() < self.ncols
-        {
-            *self = TilePanels::build(nrows, col_sets, width);
+    /// `true`) when the row universe no longer fits the padded stride.
+    pub fn sync(&mut self, nrows: usize, cols: &[KcCol], dirty: &[ColIdx]) -> bool {
+        if nrows.div_ceil(64) > self.stride || nrows < self.nrows || cols.len() < self.ncols {
+            *self = TilePanels::build(nrows, cols);
             return true;
         }
         self.nrows = nrows;
         let old_ncols = self.ncols;
-        self.ncols = col_sets.len();
+        self.ncols = cols.len();
         self.data.resize(self.ncols * self.stride, 0);
-        for (c, cols) in col_sets.iter().enumerate().skip(old_ncols) {
-            self.encode_col(c, cols);
+        for (c, col) in cols.iter().enumerate().skip(old_ncols) {
+            self.encode_col(c, &col.rows);
         }
         for &c in dirty {
             if c < old_ncols {
-                self.encode_col(c, &col_sets[c]);
+                self.encode_col(c, &cols[c].rows);
             }
         }
         false
     }
 
-    /// Zeroes and re-encodes one column from its row bitset.
-    fn encode_col(&mut self, c: ColIdx, set: &RowSet) {
+    /// Zeroes and re-encodes one column from its ascending row list.
+    fn encode_col(&mut self, c: ColIdx, rows: &[RowIdx]) {
         let base = c * self.stride;
         let col = &mut self.data[base..base + self.stride];
         col.fill(0);
-        let words = set.as_words();
-        col[..words.len()].copy_from_slice(words);
-    }
-
-    /// Words per tile.
-    pub fn width(&self) -> usize {
-        self.width
+        for &r in rows {
+            col[r / 64] |= 1u64 << (r % 64);
+        }
     }
 
     /// Columns encoded.
@@ -149,8 +130,9 @@ impl TilePanels {
         &self.data[c * self.stride..(c + 1) * self.stride]
     }
 
-    /// The column's row bitset as a plain [`RowSet`]-equivalent word
-    /// vector (unpadded) — for consistency checks in tests.
+    /// The column's row bitset as a plain [`crate::rowset::RowSet`]
+    /// -equivalent word vector (unpadded) — for consistency checks in
+    /// tests.
     pub fn col_words(&self, c: ColIdx) -> Vec<u64> {
         self.col(c)[..self.nrows.div_ceil(64)].to_vec()
     }
@@ -161,31 +143,47 @@ impl TilePanels {
 /// stale and must never be read.
 #[derive(Clone, Debug, Default)]
 pub struct TiledSupport {
-    width: usize,
     words: Vec<u64>,
     live: Vec<u32>,
 }
 
+/// Adds `Σ max(row_full_value[r], 0)` over the set bits of `tile`,
+/// whose first word holds rows from `row_base` up.
+#[inline]
+fn tile_bound(tile: &[u64], row_base: usize, row_full_value: &[i64]) -> i64 {
+    let mut ub = 0i64;
+    for (j, &word) in tile.iter().enumerate() {
+        let mut word = word;
+        let base = row_base + j * 64;
+        while word != 0 {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            ub += row_full_value[base + bit].max(0);
+        }
+    }
+    ub
+}
+
 impl TiledSupport {
-    /// `self = column c` of the panel — the root support of a
-    /// leftmost-column task.
-    pub fn load_col(&mut self, p: &TilePanels, c: ColIdx) {
-        self.width = p.width;
+    /// Sizes the word buffer for the panel's stride, reusing the
+    /// allocation, and empties the live list.
+    fn reset(&mut self, p: &TilePanels) {
         if self.words.len() != p.stride {
             self.words.clear();
             self.words.resize(p.stride, 0);
         }
         self.live.clear();
+    }
+
+    /// `self = column c` of the panel — the root support of a
+    /// leftmost-column task.
+    pub fn load_col(&mut self, p: &TilePanels, c: ColIdx) {
+        self.reset(p);
         let col = p.col(c);
-        for t in 0..p.stride / p.width {
-            let base = t * p.width;
-            let tile = &col[base..base + p.width];
-            let mut any = 0u64;
-            for &x in tile {
-                any |= x;
-            }
-            if any != 0 {
-                self.words[base..base + p.width].copy_from_slice(tile);
+        for (t, tile) in col.chunks_exact(TILE_WIDTH).enumerate() {
+            if tile.iter().any(|&x| x != 0) {
+                let base = t * TILE_WIDTH;
+                self.words[base..base + TILE_WIDTH].copy_from_slice(tile);
                 self.live.push(t as u32);
             }
         }
@@ -193,8 +191,8 @@ impl TiledSupport {
 
     /// Fused intersect-and-bound: `self = parent ∩ column c`, visiting
     /// only the parent's live tiles, returning the admissible bound
-    /// `Σ max(row_full_value[r], 0)` over the result. The word loop is
-    /// unrolled in 4-wide groups with an OR reduction so a dead tile
+    /// `Σ max(row_full_value[r], 0)` over the result. A tile is one
+    /// fixed-width word group with an OR reduction, so a dead tile
     /// exits before any bit walking.
     pub fn and_ub_from(
         &mut self,
@@ -203,53 +201,25 @@ impl TiledSupport {
         c: ColIdx,
         row_full_value: &[i64],
     ) -> i64 {
-        let w = p.width;
-        self.width = w;
-        if self.words.len() != p.stride {
-            self.words.clear();
-            self.words.resize(p.stride, 0);
-        }
-        self.live.clear();
+        self.reset(p);
         let col = p.col(c);
         let mut ub = 0i64;
         for &t in &parent.live {
-            let base = t as usize * w;
-            let a = &parent.words[base..base + w];
-            let b = &col[base..base + w];
-            let out = &mut self.words[base..base + w];
+            let base = t as usize * TILE_WIDTH;
+            let a = &parent.words[base..base + TILE_WIDTH];
+            let b = &col[base..base + TILE_WIDTH];
+            let out = &mut self.words[base..base + TILE_WIDTH];
             let mut any = 0u64;
-            let mut i = 0;
-            while i + 4 <= w {
-                let w0 = a[i] & b[i];
-                let w1 = a[i + 1] & b[i + 1];
-                let w2 = a[i + 2] & b[i + 2];
-                let w3 = a[i + 3] & b[i + 3];
-                out[i] = w0;
-                out[i + 1] = w1;
-                out[i + 2] = w2;
-                out[i + 3] = w3;
-                any |= w0 | w1 | w2 | w3;
-                i += 4;
-            }
-            while i < w {
+            for i in 0..TILE_WIDTH {
                 let x = a[i] & b[i];
                 out[i] = x;
                 any |= x;
-                i += 1;
             }
             if any == 0 {
                 continue; // dead tile: no survivors, no bit walk
             }
             self.live.push(t);
-            for (j, &word) in out.iter().enumerate() {
-                let mut word = word;
-                let row_base = (base + j) * 64;
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    ub += row_full_value[row_base + bit].max(0);
-                }
-            }
+            ub += tile_bound(out, base * 64, row_full_value);
         }
         ub
     }
@@ -259,21 +229,17 @@ impl TiledSupport {
     /// returns for a derived child, for supports loaded directly from a
     /// column.
     pub fn bound(&self, row_full_value: &[i64]) -> i64 {
-        let w = self.width.max(1);
-        let mut ub = 0i64;
-        for &t in &self.live {
-            let base = t as usize * w;
-            for (j, &word) in self.words[base..base + w].iter().enumerate() {
-                let mut word = word;
-                let row_base = (base + j) * 64;
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    ub += row_full_value[row_base + bit].max(0);
-                }
-            }
-        }
-        ub
+        self.live
+            .iter()
+            .map(|&t| {
+                let base = t as usize * TILE_WIDTH;
+                tile_bound(
+                    &self.words[base..base + TILE_WIDTH],
+                    base * 64,
+                    row_full_value,
+                )
+            })
+            .sum()
     }
 
     /// Whether the support holds no rows.
@@ -283,12 +249,11 @@ impl TiledSupport {
 
     /// Number of rows (popcount over live tiles).
     pub fn len(&self) -> usize {
-        let w = self.width.max(1);
         self.live
             .iter()
             .flat_map(|&t| {
-                let base = t as usize * w;
-                self.words[base..base + w].iter()
+                let base = t as usize * TILE_WIDTH;
+                self.words[base..base + TILE_WIDTH].iter()
             })
             .map(|x| x.count_ones() as usize)
             .sum()
@@ -326,8 +291,9 @@ pub struct TiledBits<'a> {
     s: &'a TiledSupport,
     /// Index into the live list.
     live_idx: usize,
-    /// Word offset inside the current live tile (`0..width` once the
-    /// tile is entered; `width` forces advancing to the next tile).
+    /// Word offset inside the current live tile (`0..TILE_WIDTH` once
+    /// the tile is entered; `TILE_WIDTH` forces advancing to the next
+    /// tile).
     word_off: usize,
     current: u64,
 }
@@ -341,12 +307,12 @@ impl Iterator for TiledBits<'_> {
                 let bit = self.current.trailing_zeros() as usize;
                 self.current &= self.current - 1;
                 let t = self.s.live[self.live_idx - 1] as usize;
-                let word = t * self.s.width + (self.word_off - 1);
+                let word = t * TILE_WIDTH + (self.word_off - 1);
                 return Some(word * 64 + bit);
             }
             // Advance to the next word of the current tile, or enter
             // the next live tile.
-            if self.live_idx == 0 || self.word_off >= self.s.width {
+            if self.live_idx == 0 || self.word_off >= TILE_WIDTH {
                 if self.live_idx >= self.s.live.len() {
                     return None;
                 }
@@ -354,7 +320,7 @@ impl Iterator for TiledBits<'_> {
                 self.word_off = 0;
             }
             let t = self.s.live[self.live_idx - 1] as usize;
-            self.current = self.s.words[t * self.s.width + self.word_off];
+            self.current = self.s.words[t * TILE_WIDTH + self.word_off];
             self.word_off += 1;
         }
     }
@@ -363,68 +329,73 @@ impl Iterator for TiledBits<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rowset::RowSet;
 
-    fn sets(universe: usize, cols: &[&[usize]]) -> Vec<RowSet> {
-        cols.iter()
-            .map(|rows| RowSet::from_indices(rows.iter().copied(), universe))
+    /// Columns with the given row lists (cubes and labels are irrelevant
+    /// to the panel).
+    fn cols(lists: &[&[usize]]) -> Vec<KcCol> {
+        lists
+            .iter()
+            .map(|rows| KcCol {
+                label: 0,
+                cube: pf_sop::Cube::from_lits([]),
+                rows: rows.to_vec(),
+            })
             .collect()
     }
 
+    fn words(universe: usize, rows: &[usize]) -> Vec<u64> {
+        RowSet::from_indices(rows.iter().copied(), universe)
+            .as_words()
+            .to_vec()
+    }
+
     #[test]
-    fn build_mirrors_columns_for_every_width() {
-        let cs = sets(200, &[&[0, 63, 64, 130, 199], &[], &[5, 6, 7], &[199]]);
-        for width in [1usize, 2, 3, 4, 8] {
-            let p = TilePanels::build(200, &cs, width);
-            assert_eq!(p.width(), width);
-            assert_eq!(p.ncols(), 4);
-            for (c, set) in cs.iter().enumerate() {
-                assert_eq!(p.col_words(c), set.as_words(), "width={width} col={c}");
-            }
+    fn build_mirrors_columns() {
+        let lists: [&[usize]; 4] = [&[0, 63, 64, 130, 199], &[], &[5, 6, 7], &[199]];
+        let p = TilePanels::build(200, &cols(&lists));
+        assert_eq!(p.ncols(), 4);
+        for (c, rows) in lists.iter().enumerate() {
+            assert_eq!(p.col_words(c), words(200, rows), "col={c}");
         }
     }
 
     #[test]
-    fn load_col_and_iter_match_rowset() {
-        let cs = sets(300, &[&[1, 64, 65, 128, 256, 299], &[70, 71]]);
-        for width in [1usize, 4] {
-            let p = TilePanels::build(300, &cs, width);
-            let mut s = TiledSupport::default();
-            for (c, set) in cs.iter().enumerate() {
-                s.load_col(&p, c);
-                assert_eq!(
-                    s.iter().collect::<Vec<_>>(),
-                    set.iter().collect::<Vec<_>>(),
-                    "width={width} col={c}"
-                );
-                assert_eq!(s.len(), set.len());
-                assert!(!s.is_empty());
-            }
+    fn load_col_and_iter_match_rows() {
+        let lists: [&[usize]; 2] = [&[1, 64, 65, 128, 256, 299, 1100], &[70, 71]];
+        let p = TilePanels::build(1200, &cols(&lists));
+        let mut s = TiledSupport::default();
+        for (c, rows) in lists.iter().enumerate() {
+            s.load_col(&p, c);
+            assert_eq!(s.iter().collect::<Vec<_>>(), rows.to_vec(), "col={c}");
+            assert_eq!(s.len(), rows.len());
+            assert!(!s.is_empty());
         }
     }
 
     #[test]
-    fn and_ub_matches_scalar_intersection() {
-        let a: Vec<usize> = vec![1, 3, 64, 130, 131, 250];
-        let b: Vec<usize> = vec![3, 64, 131, 200, 251];
-        let cs = sets(260, &[&a, &b]);
-        let rfv: Vec<i64> = (0..260).map(|r| (r as i64 % 7) - 3).collect();
-        for width in [1usize, 2, 4, 8] {
-            let p = TilePanels::build(260, &cs, width);
-            let mut root = TiledSupport::default();
-            root.load_col(&p, 0);
-            let mut child = TiledSupport::default();
-            let ub = child.and_ub_from(&root, &p, 1, &rfv);
-            let expect: Vec<usize> = vec![3, 64, 131];
-            assert_eq!(child.iter().collect::<Vec<_>>(), expect, "width={width}");
-            let expect_ub: i64 = expect.iter().map(|&r| rfv[r].max(0)).sum();
-            assert_eq!(ub, expect_ub, "width={width}");
-        }
+    fn and_ub_matches_sorted_intersection() {
+        let a: &[usize] = &[1, 3, 64, 130, 131, 250, 600];
+        let b: &[usize] = &[3, 64, 131, 200, 251, 600];
+        let p = TilePanels::build(700, &cols(&[a, b]));
+        let rfv: Vec<i64> = (0..700).map(|r| (r as i64 % 7) - 3).collect();
+        let mut root = TiledSupport::default();
+        root.load_col(&p, 0);
+        assert_eq!(
+            root.bound(&rfv),
+            a.iter().map(|&r| rfv[r].max(0)).sum::<i64>()
+        );
+        let mut child = TiledSupport::default();
+        let ub = child.and_ub_from(&root, &p, 1, &rfv);
+        let expect: Vec<usize> = vec![3, 64, 131, 600];
+        assert_eq!(child.iter().collect::<Vec<_>>(), expect);
+        let expect_ub: i64 = expect.iter().map(|&r| rfv[r].max(0)).sum();
+        assert_eq!(ub, expect_ub);
     }
 
     #[test]
     fn empty_intersection_is_empty_and_zero() {
-        let cs = sets(128, &[&[0, 1, 2], &[100, 101]]);
-        let p = TilePanels::build(128, &cs, 4);
+        let p = TilePanels::build(128, &cols(&[&[0, 1, 2], &[100, 101]]));
         let rfv = vec![1i64; 128];
         let mut root = TiledSupport::default();
         root.load_col(&p, 0);
@@ -440,42 +411,38 @@ mod tests {
         // Derive a child, then reuse the same buffer against a column
         // whose live tiles differ: survivors of the old intersection
         // must not leak through.
-        let cs = sets(256, &[&[0, 200], &[0], &[200]]);
-        let p = TilePanels::build(256, &cs, 2);
-        let rfv = vec![1i64; 256];
+        let p = TilePanels::build(512, &cols(&[&[0, 400], &[0], &[400]]));
+        let rfv = vec![1i64; 512];
         let mut root = TiledSupport::default();
         root.load_col(&p, 0);
         let mut child = TiledSupport::default();
         child.and_ub_from(&root, &p, 1, &rfv); // {0}
         assert_eq!(child.iter().collect::<Vec<_>>(), vec![0]);
-        child.and_ub_from(&root, &p, 2, &rfv); // {200}; tile of row 0 now stale
-        assert_eq!(child.iter().collect::<Vec<_>>(), vec![200]);
+        child.and_ub_from(&root, &p, 2, &rfv); // {400}; tile of row 0 now stale
+        assert_eq!(child.iter().collect::<Vec<_>>(), vec![400]);
     }
 
     #[test]
     fn sync_reencodes_dirty_and_appends_columns() {
-        let mut cs = sets(100, &[&[1, 2], &[50]]);
-        let mut p = TilePanels::build(100, &cs, 4);
+        let mut lists: Vec<&[usize]> = vec![&[1, 2], &[50]];
+        let mut p = TilePanels::build(100, &cols(&lists));
         // Column 0 loses a row, a new column arrives.
-        cs[0] = RowSet::from_indices([2], 100);
-        cs.push(RowSet::from_indices([99], 100));
-        let rebuilt = p.sync(100, &cs, 4, &[0]);
+        lists[0] = &[2];
+        lists.push(&[99]);
+        let rebuilt = p.sync(100, &cols(&lists), &[0]);
         assert!(!rebuilt, "in-place sync expected");
-        for (c, set) in cs.iter().enumerate() {
-            assert_eq!(p.col_words(c), set.as_words(), "col={c}");
+        for (c, rows) in lists.iter().enumerate() {
+            assert_eq!(p.col_words(c), words(100, rows), "col={c}");
         }
     }
 
     #[test]
-    fn sync_rebuilds_on_width_change_or_universe_overflow() {
-        let cs = sets(64, &[&[0]]);
-        let mut p = TilePanels::build(64, &cs, 1);
-        // Same sets, new width: full rebuild.
-        assert!(p.sync(64, &cs, 4, &[]));
-        assert_eq!(p.width(), 4);
+    fn sync_rebuilds_on_universe_overflow() {
+        let mut p = TilePanels::build(64, &cols(&[&[0]]));
         // Universe grows past the padded stride: full rebuild.
-        let grown = sets(64 * 4 * 64 + 1, &[&[0, 64 * 4 * 64]]);
-        assert!(p.sync(64 * 4 * 64 + 1, &grown, 4, &[]));
-        assert_eq!(p.col_words(0), grown[0].as_words());
+        let big = 64 * TILE_WIDTH * 64 + 1;
+        let grown: &[usize] = &[0, big - 1];
+        assert!(p.sync(big, &cols(&[grown]), &[]));
+        assert_eq!(p.col_words(0), words(big, grown));
     }
 }

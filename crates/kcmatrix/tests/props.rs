@@ -4,17 +4,29 @@
 //! Table 5 under arbitrary operation sequences.
 
 use pf_kcmatrix::{
-    best_rectangle, best_rectangle_pooled, best_rectangles_seeded, conflicts, reference,
-    select_nonconflicting, CeilingUpdate, CubeRegistry, CubeState, CubeStates, KcMatrix, LabelGen,
-    RowSet, SearchConfig, SearchPool, TilePanels,
+    canonical_top_k, conflicts, reference, revalidate_rectangle, search, select_nonconflicting,
+    CeilingUpdate, ColIdx, CostModel, CubeId, CubeRegistry, CubeState, CubeStates, KcMatrix,
+    LabelGen, Rectangle, RowSet, SearchConfig, SearchPool, SearchStats, TilePanels,
 };
 use pf_sop::kernel::KernelConfig;
 use pf_sop::{Cube, Lit, Sop};
 use proptest::prelude::*;
 
 fn arb_sop(nvars: u32, max_len: usize, max_cubes: usize) -> impl Strategy<Value = Sop> {
+    arb_sop_min_len(nvars, 1, max_len, max_cubes)
+}
+
+/// [`arb_sop`] whose cubes hold at least `min_len` literals: without
+/// single-literal cubes absorbing their supersets, functions keep more
+/// cubes and share more kernels, so matrices have more rectangles.
+fn arb_sop_min_len(
+    nvars: u32,
+    min_len: usize,
+    max_len: usize,
+    max_cubes: usize,
+) -> impl Strategy<Value = Sop> {
     prop::collection::vec(
-        prop::collection::btree_set(0..nvars, 1..=max_len),
+        prop::collection::btree_set(0..nvars, min_len..=max_len),
         1..=max_cubes,
     )
     .prop_map(|cubes| {
@@ -24,6 +36,30 @@ fn arb_sop(nvars: u32, max_len: usize, max_cubes: usize) -> impl Strategy<Value 
                 .map(|vs| Cube::from_lits(vs.into_iter().map(Lit::pos))),
         )
     })
+}
+
+/// `count` functions, all drawn either from [`arb_sop`]`(8, 4, 8)` — the
+/// general input, with single-literal cubes absorbing their supersets —
+/// or from the rectangle-rich [`arb_sop_min_len`]`(7, 2, 3, 10)`.
+fn arb_funcs(count: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Sop>> {
+    (
+        any::<bool>(),
+        prop::collection::vec(arb_sop(8, 4, 8), count.clone()),
+        prop::collection::vec(arb_sop_min_len(7, 2, 3, 10), count),
+    )
+        .prop_map(|(rich, general, rectangle_rich)| if rich { rectangle_rich } else { general })
+}
+
+/// The best rectangle of one area-model search; `pool = None` takes the
+/// sequential engine (or a call-scoped pool when `par_threads >= 1`).
+fn best(
+    m: &KcMatrix,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+    cfg: &SearchConfig,
+    pool: Option<(&mut SearchPool, CeilingUpdate<'_>)>,
+) -> (Option<Rectangle>, SearchStats) {
+    let (rects, stats) = search(m, &CostModel::area(value_of), cfg, None, pool);
+    (rects.into_iter().next(), stats)
 }
 
 fn build_matrix(funcs: &[Sop]) -> (KcMatrix, Vec<u32>) {
@@ -43,6 +79,54 @@ fn build_matrix(funcs: &[Sop]) -> (KcMatrix, Vec<u32>) {
     }
     let w = reg.weights_snapshot();
     (m, w)
+}
+
+/// Brute-force canonical top-`k`: every subset of every alive row's
+/// columns with at least `min_cols` columns and a stripe-admitted
+/// leftmost column, re-validated to its maximal support and exact
+/// value, deduplicated and ranked by [`canonical_top_k`]. Every column
+/// set the search can reach is such a subset (its support is non-empty,
+/// so some alive row holds all of its columns), and every such subset
+/// is one the search enumerates — so this is the exact answer the
+/// canonical engines must return.
+fn brute_force_top_k(
+    m: &KcMatrix,
+    model: &CostModel<'_>,
+    cfg: &SearchConfig,
+    k: usize,
+) -> Vec<Rectangle> {
+    let mut sets: std::collections::BTreeSet<Vec<ColIdx>> = std::collections::BTreeSet::new();
+    for row in m.rows().iter().filter(|r| r.alive) {
+        let cols: Vec<ColIdx> = row.entries.iter().map(|&(c, _)| c).collect();
+        assert!(cols.len() < 32, "row too wide to brute-force");
+        for mask in 1u32..(1u32 << cols.len()) {
+            let subset: Vec<ColIdx> = cols
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &c)| c)
+                .collect();
+            let admitted = match cfg.stripe {
+                Some((proc, nprocs)) => subset[0] as u32 % nprocs == proc,
+                None => true,
+            };
+            if subset.len() >= cfg.min_cols && admitted {
+                sets.insert(subset);
+            }
+        }
+    }
+    let candidates: Vec<Rectangle> = sets
+        .into_iter()
+        .filter_map(|cols| {
+            let probe = Rectangle {
+                rows: Vec::new(),
+                cols,
+                value: 0,
+            };
+            revalidate_rectangle(m, model, cfg, &probe)
+        })
+        .collect();
+    canonical_top_k(&candidates, k)
 }
 
 proptest! {
@@ -67,8 +151,8 @@ proptest! {
     #[test]
     fn best_rectangle_value_is_exact(funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4)) {
         let (m, w) = build_matrix(&funcs);
-        let (best, _) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
-        let Some(rect) = best else { return Ok(()) };
+        let (found, _) = best(&m, &|id| w[id as usize], &SearchConfig::default(), None);
+        let Some(rect) = found else { return Ok(()) };
         prop_assert!(rect.value > 0);
         // Recompute: Σ distinct covered − row costs − col costs.
         let mut seen = std::collections::HashSet::new();
@@ -94,17 +178,17 @@ proptest! {
         nprocs in 2u32..5,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let global = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let global = best(&m, &|id| w[id as usize], &SearchConfig::default(), None)
             .0
             .map_or(0, |r| r.value);
-        let mut best = 0i64;
+        let mut striped = 0i64;
         for p in 0..nprocs {
             let cfg = SearchConfig { stripe: Some((p, nprocs)), ..SearchConfig::default() };
-            if let (Some(r), _) = best_rectangle(&m, &|id| w[id as usize], &cfg) {
-                best = best.max(r.value);
+            if let (Some(r), _) = best(&m, &|id| w[id as usize], &cfg, None) {
+                striped = striped.max(r.value);
             }
         }
-        prop_assert_eq!(best, global);
+        prop_assert_eq!(striped, global);
     }
 
     /// Zeroing cube values can only lower the best rectangle's value.
@@ -114,11 +198,11 @@ proptest! {
         mask in prop::collection::vec(any::<bool>(), 64),
     ) {
         let (m, w) = build_matrix(&funcs);
-        let full = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let full = best(&m, &|id| w[id as usize], &SearchConfig::default(), None)
             .0.map_or(0, |r| r.value);
-        let masked = best_rectangle(&m, &|id| {
+        let masked = best(&m, &|id| {
             if mask.get(id as usize).copied().unwrap_or(false) { 0 } else { w[id as usize] }
-        }, &SearchConfig::default()).0.map_or(0, |r| r.value);
+        }, &SearchConfig::default(), None).0.map_or(0, |r| r.value);
         prop_assert!(masked <= full);
     }
 
@@ -152,12 +236,10 @@ proptest! {
         }
     }
 
-    /// The bitset engine is a drop-in replacement for the legacy vec
+    /// The search engine is a drop-in replacement for the legacy vec
     /// search: identical rectangle, value, and stats on arbitrary
-    /// matrices, with and without stripes, for min_cols ∈ {1, 2} — and
-    /// the tiled kernel (any `tile_width`) is a drop-in replacement for
-    /// the scalar bitset engine against the same oracle, budget
-    /// truncation included.
+    /// matrices, with and without stripes, for min_cols ∈ {1, 2},
+    /// budget truncation included.
     #[test]
     fn bitset_search_equals_vec_search(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
@@ -167,130 +249,87 @@ proptest! {
         min_cols in 1usize..3,
         tight_budget in any::<bool>(),
         budget in 1u64..40,
-        tile_width in 0usize..6,
     ) {
         let (m, w) = build_matrix(&funcs);
         let cfg = SearchConfig {
             stripe: striped.then_some((proc % nprocs, nprocs)),
             min_cols,
             budget: if tight_budget { budget } else { SearchConfig::default().budget },
-            tile_width,
             ..SearchConfig::default()
         };
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let (bit, bit_stats) = best_rectangle(&m, &value_of, &cfg);
-        let (vec, vec_stats) = reference::best_rectangle(&m, &value_of, &cfg);
+        let value_of = |id: CubeId| w[id as usize];
+        let (bit, bit_stats) = best(&m, &value_of, &cfg, None);
+        let (vec, vec_stats) = reference::search(&m, &CostModel::area(&value_of), &cfg);
         prop_assert_eq!(bit, vec);
         prop_assert_eq!(bit_stats.visited, vec_stats.visited);
         prop_assert_eq!(bit_stats.budget_exhausted, vec_stats.budget_exhausted);
     }
 
-    /// The tiled kernel is byte-identical to the scalar engine for any
-    /// tile width × thread count × topk: same rectangles in the same
-    /// order, and (sequentially, where the schedule is deterministic)
-    /// the same enumeration statistics.
+    /// Every engine returns the brute-force canonical top-K: the
+    /// canonical engines (`par_threads` 1 and 2) exactly, for K in 1..5;
+    /// the sequential engine exactly for K ≥ 2, and at K = 1 — where it
+    /// keeps the first maximum in enumeration order instead of the
+    /// canonical one — a rectangle of the same value.
     #[test]
-    fn tiled_search_is_byte_identical_to_scalar(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        tile_width in 1usize..9,
-        topk in 1usize..5,
-        threads in 0usize..3,
+    fn search_matches_brute_force_top_k(
+        funcs in arb_funcs(1..5),
+        striped in any::<bool>(),
+        proc in 0u32..4,
+        nprocs in 1u32..4,
         min_cols in 1usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let scalar_cfg = SearchConfig {
-            min_cols,
-            topk,
-            par_threads: threads,
-            ..SearchConfig::default()
-        };
-        let tiled_cfg = SearchConfig { tile_width, ..scalar_cfg.clone() };
-        let (scalar, scalar_stats) = best_rectangles_seeded(&m, &value_of, &scalar_cfg, None);
-        let (tiled, tiled_stats) = best_rectangles_seeded(&m, &value_of, &tiled_cfg, None);
-        prop_assert_eq!(&tiled, &scalar, "width={} topk={} threads={}", tile_width, topk, threads);
-        if threads == 0 {
-            prop_assert_eq!(tiled_stats.visited, scalar_stats.visited);
-            prop_assert_eq!(tiled_stats.pruned, scalar_stats.pruned);
-            prop_assert_eq!(tiled_stats.budget_exhausted, scalar_stats.budget_exhausted);
+        let value_of = |id: CubeId| w[id as usize];
+        let model = CostModel::area(&value_of);
+        for topk in 1usize..5 {
+            let base = SearchConfig {
+                stripe: striped.then_some((proc % nprocs, nprocs)),
+                min_cols,
+                topk,
+                ..SearchConfig::default()
+            };
+            let want = brute_force_top_k(&m, &model, &base, topk);
+            for threads in [0usize, 1, 2] {
+                let cfg = SearchConfig { par_threads: threads, ..base.clone() };
+                let (got, stats) = search(&m, &model, &cfg, None, None);
+                prop_assert!(!stats.budget_exhausted);
+                if threads == 0 && topk == 1 {
+                    prop_assert_eq!(
+                        got.iter().map(|r| r.value).collect::<Vec<_>>(),
+                        want.iter().map(|r| r.value).collect::<Vec<_>>(),
+                        "sequential K=1 value"
+                    );
+                } else {
+                    prop_assert_eq!(&got, &want, "topk={} threads={}", topk, threads);
+                }
+            }
         }
-    }
-
-    /// The pooled tiled kernel survives matrix mutation through the
-    /// dirty-column panel sync: after tombstoning the winner's rows, a
-    /// warm tiled pass told only those rows' columns are dirty matches
-    /// a fresh scalar search on the new matrix exactly.
-    #[test]
-    fn tiled_pool_dirty_sync_matches_scalar(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 2..4),
-        tile_width in 1usize..6,
-        threads in 1usize..4,
-    ) {
-        let (mut m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let cfg = SearchConfig {
-            par_threads: threads,
-            tile_width,
-            ..SearchConfig::default()
-        };
-        let mut pool = SearchPool::new();
-        let (first, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
-        prop_assert_eq!(pool.tile_rebuilds(), 1, "first pass builds the panel once");
-        let Some(rect) = first else { return Ok(()) };
-        let mut dirty: Vec<pf_kcmatrix::ColIdx> = rect
-            .rows
-            .iter()
-            .flat_map(|&r| m.rows()[r].entries.iter().map(|&(c, _)| c))
-            .collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        for &r in &rect.rows {
-            m.tombstone_row(r);
-        }
-        let scalar_cfg = SearchConfig { tile_width: 0, ..cfg.clone() };
-        let (fresh, _) = best_rectangle(&m, &value_of, &scalar_cfg);
-        let (warm, _) = best_rectangle_pooled(
-            &m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Dirty(&dirty),
-        );
-        prop_assert_eq!(&warm, &fresh, "width={} threads={}", tile_width, threads);
-        prop_assert_eq!(pool.tile_rebuilds(), 1, "dirty pass syncs in place");
     }
 
     /// RowSet is exact on the trailing partial word: for universes that
-    /// are not multiples of 64, construction, intersection (both the
-    /// in-place and three-address forms), iteration, and `len` all agree
-    /// with the reference BTreeSet semantics, and no stray bits survive
-    /// past the universe.
+    /// are not multiples of 64, construction, iteration, membership and
+    /// `len` all agree with the reference BTreeSet semantics, and no
+    /// stray bits survive past the universe.
     #[test]
     fn rowset_trailing_word_is_exact(
         universe in 1usize..200,
         xs in prop::collection::vec(0usize..4096, 0..48),
-        ys in prop::collection::vec(0usize..4096, 0..48),
     ) {
         use std::collections::BTreeSet;
         let xs: BTreeSet<usize> = xs.iter().map(|i| i % universe).collect();
-        let ys: BTreeSet<usize> = ys.iter().map(|i| i % universe).collect();
         let sa = RowSet::from_indices(xs.iter().copied(), universe);
-        let sb = RowSet::from_indices(ys.iter().copied(), universe);
         prop_assert_eq!(sa.iter().collect::<Vec<_>>(), xs.iter().copied().collect::<Vec<_>>());
         prop_assert_eq!(sa.len(), xs.len());
         for probe in universe.saturating_sub(3)..universe {
             prop_assert_eq!(sa.contains(probe), xs.contains(&probe));
         }
-        let expect: Vec<usize> = xs.intersection(&ys).copied().collect();
-        let mut inplace = sa.clone();
-        inplace.and_with(&sb);
-        prop_assert_eq!(inplace.iter().collect::<Vec<_>>(), expect.clone());
-        prop_assert_eq!(inplace.len(), expect.len());
-        let mut out = RowSet::zeroed(universe);
-        out.assign_and(&sa, &sb);
-        prop_assert_eq!(out.iter().collect::<Vec<_>>(), expect.clone());
-        // Words are canonical: rebuilding from the iterator reproduces
-        // them bit for bit, i.e. nothing leaked into the slack bits of
-        // the final word.
-        let rebuilt = RowSet::from_indices(expect.iter().copied(), universe);
-        prop_assert_eq!(out.as_words(), rebuilt.as_words());
+        // Words are canonical: exactly ceil(universe / 64) of them, and
+        // nothing set in the slack bits of the final word.
+        prop_assert_eq!(sa.as_words().len(), universe.div_ceil(64));
+        let slack = universe % 64;
+        if slack != 0 {
+            prop_assert_eq!(sa.as_words().last().unwrap() >> slack, 0);
+        }
     }
 
     /// Tile panels stay a faithful mirror of the matrix across
@@ -300,7 +339,6 @@ proptest! {
     fn tile_panels_survive_mutation(
         funcs in prop::collection::vec(arb_sop(8, 3, 7), 2..4),
         extra in arb_sop(8, 3, 6),
-        width in 1usize..6,
         kills in prop::collection::vec(0usize..4096, 1..6),
     ) {
         let reg = CubeRegistry::new();
@@ -313,7 +351,7 @@ proptest! {
         if m.rows().is_empty() {
             return Ok(());
         }
-        let mut panel = TilePanels::build(m.rows().len(), &m.col_row_sets(), width);
+        let mut panel = TilePanels::build(m.rows().len(), m.cols());
         // Round 1: tombstone some rows, sync with their columns dirty.
         let mut dirty: Vec<usize> = Vec::new();
         for k in &kills {
@@ -326,9 +364,10 @@ proptest! {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        let rebuilt = panel.sync(m.rows().len(), &m.col_row_sets(), width, &dirty);
+        let rebuilt = panel.sync(m.rows().len(), m.cols(), &dirty);
         prop_assert!(!rebuilt, "tombstones never force a rebuild");
-        for (c, set) in m.col_row_sets().iter().enumerate() {
+        for (c, col) in m.cols().iter().enumerate() {
+            let set = RowSet::from_indices(col.rows.iter().copied(), m.rows().len());
             prop_assert_eq!(panel.col_words(c), set.as_words(), "col {} after tombstones", c);
         }
         // Round 2: append a node, sync with the new rows' columns dirty.
@@ -342,8 +381,9 @@ proptest! {
             .collect();
         dirty.sort_unstable();
         dirty.dedup();
-        panel.sync(m.rows().len(), &m.col_row_sets(), width, &dirty);
-        for (c, set) in m.col_row_sets().iter().enumerate() {
+        panel.sync(m.rows().len(), m.cols(), &dirty);
+        for (c, col) in m.cols().iter().enumerate() {
+            let set = RowSet::from_indices(col.rows.iter().copied(), m.rows().len());
             prop_assert_eq!(panel.col_words(c), set.as_words(), "col {} after append", c);
         }
     }
@@ -356,67 +396,17 @@ proptest! {
         min_cols in 1usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let base = SearchConfig { min_cols, ..SearchConfig::default() };
-        let (seq, _) = best_rectangle(&m, &value_of, &base);
-        let (one, _) = best_rectangle(
-            &m,
-            &value_of,
-            &SearchConfig { par_threads: 1, ..base.clone() },
-        );
-        let (four, _) = best_rectangle(
-            &m,
-            &value_of,
-            &SearchConfig { par_threads: 4, ..base },
-        );
+        let (seq, _) = best(&m, &value_of, &base, None);
+        let (one, _) = best(&m, &value_of, &SearchConfig { par_threads: 1, ..base.clone() }, None);
+        let (four, _) = best(&m, &value_of, &SearchConfig { par_threads: 4, ..base }, None);
         prop_assert_eq!(&one, &four, "1 vs 4 threads must agree exactly");
         prop_assert_eq!(
             one.as_ref().map(|r| r.value),
             seq.map(|r| r.value),
             "parallel value must match the sequential optimum"
         );
-    }
-
-    /// The pooled engine is a drop-in replacement for the spawn-per-pass
-    /// parallel engine: identical `Rectangle` for every thread count, and
-    /// identical enumeration (visited / budget flag) at one thread, where
-    /// the pooled pass runs the very same worker loop inline.
-    #[test]
-    fn pooled_search_equals_spawn_search(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        min_cols in 1usize..3,
-    ) {
-        let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let (classic, _) = best_rectangle(
-            &m,
-            &value_of,
-            &SearchConfig { min_cols, ..SearchConfig::default() },
-        );
-        for threads in [1usize, 2, 4] {
-            let cfg = SearchConfig {
-                par_threads: threads,
-                min_cols,
-                ..SearchConfig::default()
-            };
-            let (spawn, spawn_stats) = best_rectangle(&m, &value_of, &cfg);
-            let mut pool = SearchPool::new();
-            let (pooled, pooled_stats) =
-                best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
-            prop_assert_eq!(&pooled, &spawn, "threads={}", threads);
-            prop_assert_eq!(
-                pooled_stats.budget_exhausted, spawn_stats.budget_exhausted,
-                "threads={}", threads
-            );
-            if threads == 1 {
-                prop_assert_eq!(pooled_stats.visited, spawn_stats.visited);
-            }
-            prop_assert_eq!(
-                pooled.as_ref().map(|r| r.value),
-                classic.as_ref().map(|r| r.value),
-                "threads={}: pooled value must match the classic optimum", threads
-            );
-        }
     }
 
     /// A warm pool is stateless across passes unless ceilings say
@@ -430,52 +420,52 @@ proptest! {
         threads in 1usize..5,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig { par_threads: threads, ..SearchConfig::default() };
         let mut pool = SearchPool::new();
-        let (first, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
+        let (first, _) = best(&m, &value_of, &cfg, Some((&mut pool, CeilingUpdate::Off)));
         // Pass widths are clamped to the available tasks, so the first
         // pass may spawn fewer than `threads - 1` background workers —
         // but identical repeats must never spawn another thread.
         let spawned_cold = pool.spawned_threads();
         prop_assert!(spawned_cold <= threads.saturating_sub(1) as u64);
         for _ in 0..2 {
-            let (again, _) =
-                best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
+            let (again, _) = best(&m, &value_of, &cfg, Some((&mut pool, CeilingUpdate::Off)));
             prop_assert_eq!(&again, &first);
         }
-        let (reset, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
+        let (reset, _) = best(&m, &value_of, &cfg, Some((&mut pool, CeilingUpdate::Reset)));
         prop_assert_eq!(&reset, &first);
         for _ in 0..2 {
-            let (ceiled, _) = best_rectangle_pooled(
-                &m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Dirty(&[]),
-            );
+            let (ceiled, _) =
+                best(&m, &value_of, &cfg, Some((&mut pool, CeilingUpdate::Dirty(&[]))));
             prop_assert_eq!(&ceiled, &first);
         }
         prop_assert_eq!(pool.spawned_threads(), spawned_cold, "warm repeats spawned threads");
     }
 
-    /// Ceiling invalidation is sound across matrix mutation: after
-    /// tombstoning the best rectangle's rows (the cover loop's mutation
-    /// shape), a pooled pass told only those rows' columns are dirty
-    /// finds exactly what a fresh spawn search finds on the new matrix.
+    /// Ceiling invalidation and the incremental panel sync are sound
+    /// across matrix mutation: after tombstoning the best rectangle's
+    /// rows (the cover loop's mutation shape), a warm pooled pass told
+    /// only those rows' columns are dirty re-encodes them in place
+    /// (no panel rebuild) and finds exactly the top-K a fresh pool finds
+    /// on the new matrix — which is also the brute-force top-K.
     #[test]
     fn dirty_column_ceilings_survive_mutation(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 2..4),
+        funcs in arb_funcs(2..4),
         threads in 1usize..4,
+        topk in 1usize..4,
     ) {
         let (mut m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let cfg = SearchConfig { par_threads: threads, ..SearchConfig::default() };
+        let value_of = |id: CubeId| w[id as usize];
+        let model = CostModel::area(&value_of);
+        let cfg = SearchConfig { par_threads: threads, topk, ..SearchConfig::default() };
         let mut pool = SearchPool::new();
-        let (first, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
-        let Some(rect) = first else { return Ok(()) };
+        let (first, _) = search(&m, &model, &cfg, None, Some((&mut pool, CeilingUpdate::Reset)));
+        prop_assert_eq!(pool.tile_rebuilds(), 1, "first pass builds the panel once");
+        let Some(rect) = first.first() else { return Ok(()) };
         // Tombstone the winning rows; their columns are exactly the
         // dirty set (no rows were appended).
-        let mut dirty: Vec<pf_kcmatrix::ColIdx> = rect
+        let mut dirty: Vec<ColIdx> = rect
             .rows
             .iter()
             .flat_map(|&r| m.rows()[r].entries.iter().map(|&(c, _)| c))
@@ -485,35 +475,13 @@ proptest! {
         for &r in &rect.rows {
             m.tombstone_row(r);
         }
-        let (fresh, _) = best_rectangle(&m, &value_of, &cfg);
-        let (ceiled, _) = best_rectangle_pooled(
-            &m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Dirty(&dirty),
-        );
-        prop_assert_eq!(&ceiled, &fresh, "threads={}", threads);
-    }
-
-    /// The plural search at topk = 1 is the singular search: same
-    /// rectangle, byte for byte, for any stripe and thread count.
-    #[test]
-    fn topk1_plural_search_is_the_singular_search(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        striped in any::<bool>(),
-        proc in 0u32..3,
-        nprocs in 1u32..3,
-        threads in 0usize..3,
-    ) {
-        let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let cfg = SearchConfig {
-            stripe: striped.then_some((proc % nprocs, nprocs)),
-            par_threads: threads,
-            topk: 1,
-            ..SearchConfig::default()
-        };
-        let (single, _) = best_rectangle(&m, &value_of, &cfg);
-        let (plural, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-        prop_assert_eq!(plural.first(), single.as_ref());
-        prop_assert!(plural.len() <= 1);
+        let (fresh, _) =
+            search(&m, &model, &cfg, None, Some((&mut SearchPool::new(), CeilingUpdate::Off)));
+        let (warm, _) =
+            search(&m, &model, &cfg, None, Some((&mut pool, CeilingUpdate::Dirty(&dirty))));
+        prop_assert_eq!(&warm, &fresh, "threads={} topk={}", threads, topk);
+        prop_assert_eq!(&warm, &brute_force_top_k(&m, &model, &cfg, topk));
+        prop_assert_eq!(pool.tile_rebuilds(), 1, "dirty pass syncs in place");
     }
 
     /// A batch selected from top-K candidates is genuinely conflict-free
@@ -525,9 +493,9 @@ proptest! {
         topk in 2usize..12,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig { topk, ..SearchConfig::default() };
-        let (cands, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let (cands, _) = search(&m, &CostModel::area(&value_of), &cfg, None, None);
         let selected = select_nonconflicting(&m, &cands, usize::MAX);
         for (i, a) in selected.iter().enumerate() {
             for b in &selected[i + 1..] {

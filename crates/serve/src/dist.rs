@@ -130,12 +130,6 @@ pub fn encode_sub_request(job: &SubJob, faults: Option<(&str, u64)>) -> Json {
             Json::u64(job.extract.search.topk as u64),
         ));
     }
-    if job.extract.search.tile_width > 0 {
-        members.push((
-            "tile_width".to_string(),
-            Json::u64(job.extract.search.tile_width as u64),
-        ));
-    }
     if let Some((spec, seed)) = faults {
         members.push(("fault_plan".to_string(), Json::str(spec)));
         members.push(("fault_seed".to_string(), Json::u64(seed)));
@@ -347,9 +341,6 @@ fn run_sub(request: &Json) -> Result<Json, String> {
             return Err("\"batch_rects\" must be at least 1".into());
         }
         extract.search.topk = k as usize;
-    }
-    if let Some(w) = request.get("tile_width").and_then(Json::as_u64) {
-        extract.search.tile_width = w as usize;
     }
     if let Some(spec) = request.get("fault_plan").and_then(Json::as_str) {
         let seed = request

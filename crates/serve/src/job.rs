@@ -80,12 +80,6 @@ pub struct JobSpec {
     /// values enable conflict-aware batching. Result-affecting, unlike
     /// `par_threads`, so it participates in the cache key.
     pub batch_rects: usize,
-    /// Tile width in u64 words for the cache-blocked rectangle-search
-    /// kernel (`SearchConfig::tile_width`). `0` keeps the scalar
-    /// intersection loop. Result-invariant like `par_threads` (the
-    /// tiled kernel is byte-identical by construction), so it does NOT
-    /// participate in the cache key.
-    pub tile_width: usize,
     /// Per-job deadline; expiry (including time spent queued) turns the
     /// job into a structured timeout response.
     pub deadline: Option<Duration>,
@@ -106,7 +100,6 @@ impl JobSpec {
             procs: 2,
             par_threads: 0,
             batch_rects: 1,
-            tile_width: 0,
             deadline: None,
             delta_from: None,
         }
@@ -133,7 +126,7 @@ impl JobSpec {
     /// digest. Combined with the resolved network's content digest this
     /// forms the exact-hit cache key: algorithm always matters, `procs`
     /// only for the parallel drivers (`seq` ignores it), and
-    /// `par_threads` / `tile_width` / `deadline` are result-invariant
+    /// `par_threads` / `deadline` are result-invariant
     /// per the repo's determinism tests (a timed-out run is never
     /// admitted anyway).
     /// `batch_rects` *is* result-affecting (batched extraction may pick

@@ -570,10 +570,6 @@ fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
             k
         }
     };
-    let tile_width = match request.get("tile_width") {
-        None => 0,
-        Some(v) => checked_count(v, "tile_width")?,
-    };
     let deadline = match request.get("deadline_ms") {
         None | Some(Json::Null) => None,
         Some(v) => Some(Duration::from_millis(
@@ -594,7 +590,6 @@ fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
         procs,
         par_threads,
         batch_rects,
-        tile_width,
         deadline,
         delta_from,
     })
@@ -828,6 +823,114 @@ mod tests {
         let bad = parse(&responses[1]).unwrap();
         assert_eq!(bad.get("status").and_then(Json::as_str), Some("rejected"));
         assert_eq!(bad.get("reason").and_then(Json::as_str), Some("invalid"));
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn submit_with_a_legacy_tile_width_runs_the_same_job() {
+        // Older clients still send `tile_width`; the knob is gone, so the
+        // field is ignored: it parses to the same spec (hence the same
+        // cache key, the service's digest of a job's output) and the run
+        // produces the same result.
+        let plain = r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05"}"#;
+        let legacy = concat!(
+            r#"{"op":"submit","algorithm":"seq","#,
+            r#""workload":"gen:misex3@0.05","tile_width":4}"#
+        );
+        let spec_plain = spec_from_json(&parse(plain).unwrap()).unwrap();
+        let spec_legacy = spec_from_json(&parse(legacy).unwrap()).unwrap();
+        assert_eq!(format!("{spec_plain:?}"), format!("{spec_legacy:?}"));
+        assert_eq!(
+            spec_plain.cache_param_digest(),
+            spec_legacy.cache_param_digest()
+        );
+
+        // Cache off, so the second job really runs.
+        let (addr, handle) = start_server(ServiceConfig {
+            cache_entries: 0,
+            ..ServiceConfig::default()
+        });
+        let responses = request_lines(
+            addr,
+            &[
+                plain.to_string(),
+                legacy.to_string(),
+                r#"{"op":"shutdown"}"#.to_string(),
+            ],
+        )
+        .expect("protocol round-trip");
+        let results: Vec<Json> = responses[..2]
+            .iter()
+            .map(|line| {
+                let r = parse(line).unwrap();
+                assert_eq!(r.get("status").and_then(Json::as_str), Some("completed"));
+                let m = r.get("metrics").unwrap();
+                Json::obj(["lc_before", "lc_after", "saved", "extractions"].map(|k| {
+                    (
+                        k,
+                        m.get(k).cloned().unwrap_or_else(|| panic!("{k} present")),
+                    )
+                }))
+            })
+            .collect();
+        assert_eq!(results[0], results[1]);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn sub_with_a_legacy_tile_width_returns_the_same_network() {
+        use crate::dist::{decode_sub_response, encode_sub_request};
+        use pf_core::merge::merge_worker_results;
+        use pf_core::{SubJob, SubKind};
+        use pf_kcmatrix::network_digest;
+
+        // Coordinators built before the knob was removed add
+        // `tile_width` to `sub` requests; workers ignore it.
+        let base = pf_workloads::generate(&pf_workloads::CircuitProfile::small("legacy-sub", 7));
+        let job = SubJob {
+            lease: 5,
+            targets: std::sync::Arc::new(base.node_ids().collect()),
+            base: std::sync::Arc::new(base.clone()),
+            extract: pf_core::ExtractConfig::default(),
+            kind: SubKind::Extract,
+        };
+        let plain = encode_sub_request(&job, None);
+        let Json::Obj(mut members) = plain.clone() else {
+            panic!("sub request is an object")
+        };
+        members.push(("tile_width".to_string(), Json::u64(4)));
+        let legacy = Json::Obj(members);
+
+        let (addr, handle) = start_server_with(
+            ServiceConfig::default(),
+            ServerConfig {
+                worker: true,
+                ..ServerConfig::default()
+            },
+        );
+        let responses = request_lines(
+            addr,
+            &[
+                plain.to_string(),
+                legacy.to_string(),
+                r#"{"op":"shutdown"}"#.to_string(),
+            ],
+        )
+        .expect("round-trip");
+        let digests: Vec<_> = responses[..2]
+            .iter()
+            .map(|line| {
+                let response = parse(line).unwrap();
+                assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
+                let (wr, report) = decode_sub_response(&response, &job).expect("decode");
+                assert!(report.extractions > 0, "the sub-job extracted something");
+                let mut out = base.clone();
+                merge_worker_results(&mut out, vec![wr]).expect("result merges");
+                network_digest(&out)
+            })
+            .collect();
+        assert_eq!(digests[0], digests[1]);
+        assert_eq!(responses[0], responses[1]);
         handle.join().unwrap();
     }
 

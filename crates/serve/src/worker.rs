@@ -62,7 +62,6 @@ pub fn run_extraction(
     };
     extract.search.par_threads = spec.par_threads;
     extract.search.topk = spec.batch_rects.max(1);
-    extract.search.tile_width = spec.tile_width;
     let handle = cache.map(|c| {
         let content = network_digest(&nw);
         CacheHandle {

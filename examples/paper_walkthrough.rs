@@ -15,7 +15,7 @@
 
 use parafactor::core::{extract_kernels, ExtractConfig};
 use parafactor::kcmatrix::{
-    best_rectangle, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig,
+    search, CostModel, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig,
 };
 use parafactor::network::example::example_1_1;
 use parafactor::network::transform::extract_node;
@@ -79,21 +79,23 @@ fn main() {
         full.add_node_kernels(n, nw.func(n), &kc, &reg_full, &mut rl, &mut cl);
     }
     let w = reg_full.weights_snapshot();
+    let value_of = |id: u32| w[id as usize];
+    let model = CostModel::area(&value_of);
     let nprocs = 3u32;
     for p in 0..nprocs {
         let cfg = SearchConfig {
             stripe: Some((p, nprocs)),
             ..SearchConfig::default()
         };
-        let (best, stats) = best_rectangle(&full, &|id| w[id as usize], &cfg);
+        let (best, stats) = search(&full, &model, &cfg, None, None);
         println!(
             "  processor {p}: {:>4} column-sets explored, best value {}",
             stats.visited,
-            best.as_ref().map_or(0, |r| r.value)
+            best.first().map_or(0, |r| r.value)
         );
     }
-    let (global, _) = best_rectangle(&full, &|id| w[id as usize], &SearchConfig::default());
-    let global = global.unwrap();
+    let (global, _) = search(&full, &model, &SearchConfig::default(), None, None);
+    let global = &global[0];
     println!(
         "  reduction picks value {} (kernel {}), as the sequential search would\n",
         global.value,

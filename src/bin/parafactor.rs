@@ -8,7 +8,7 @@
 //!                   [--cache-entries N] [--cache-ttl-secs N]
 //!                   [--fault-plan SPEC] [--fault-seed N] [--worker]
 //! parafactor submit [--addr A] [-a ALG] [-p N] [--par-threads N]
-//!                   [--batch-rects K] [--tile-width W] [--deadline-ms N]
+//!                   [--batch-rects K] [--deadline-ms N]
 //!                   [--retries N] [--delta-from BASE] <WORKLOAD>
 //! parafactor dist   [--workers N | --peers A,B,…] [--parts N]
 //!                   [--no-recovery] [--recovery-shards N]
@@ -17,13 +17,12 @@
 //! parafactor bench-json [--quick] [--out FILE]
 //!                   [--assert-pooled-overhead PCT]
 //!                   [--assert-pass-reduction PCT]
-//!                   [--assert-tile-speedup PCT]
 //!                   [--assert-cache-identical]
 //!                   [--partition] [--scales F,F,…]
 //!                   [--assert-gap-closed PCT]
 //!                   [--assert-recovery-share PCT]
 //! parafactor profile [-a ALG] [-p N] [--par-threads N] [--batch-rects K]
-//!                   [--tile-width W] [--seed N] [-o FILE] <INPUT>
+//!                   [--seed N] [-o FILE] <INPUT>
 //!
 //! INPUT                 circuit file (.blif, or the native text format),
 //!                       or gen:<profile>[@scale] for a synthetic circuit
@@ -37,9 +36,6 @@
 //!     --batch-rects K   rectangles collected per search pass; conflict-
 //!                       free subsets are applied in one batch. 1 keeps
 //!                       the classic one-per-pass engine    [default: 1]
-//!     --tile-width W    u64 words per tile in the cache-blocked search
-//!                       kernel (byte-identical results); 0 keeps the
-//!                       scalar word loop                   [default: 0]
 //! -o, --output FILE     write the optimized circuit (format by extension:
 //!                       .blif or anything else = native text)
 //!     --objective OBJ   area | timing | power               [default: area]
@@ -70,7 +66,7 @@
 //! (e.g. seq/gen:misex3@0.25): the service re-extracts only the cones
 //! whose functions changed and splices the rest from the cached base
 //! (details in docs/SERVICE.md "Caching & delta-submit"). bench-json
-//! measures the rectangle-search engines (spawn-per-pass and pooled) and
+//! measures the rectangle-search engines (call-scoped and resident pool) and
 //! the four drivers end to end and writes BENCH_rect.json (--quick
 //! shrinks scales/reps for CI; --assert-pooled-overhead PCT exits
 //! non-zero when the pooled one-thread median exceeds the sequential
@@ -132,7 +128,6 @@ struct Options {
     procs: usize,
     par_threads: usize,
     batch_rects: usize,
-    tile_width: usize,
     output: Option<String>,
     objective: String,
     run_cx: bool,
@@ -163,7 +158,6 @@ fn parse_args() -> Options {
         procs: 4,
         par_threads: 0,
         batch_rects: 1,
-        tile_width: 0,
         output: None,
         objective: "area".into(),
         run_cx: false,
@@ -202,12 +196,6 @@ fn parse_args() -> Options {
                         eprintln!("error: --batch-rects must be a positive integer");
                         usage()
                     })
-            }
-            "--tile-width" => {
-                opts.tile_width = need("--tile-width").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --tile-width must be a non-negative integer");
-                    usage()
-                })
             }
             "-o" | "--output" => opts.output = Some(need("--output")),
             "--objective" => opts.objective = need("--objective"),
@@ -370,7 +358,6 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     let mut procs = 2usize;
     let mut par_threads = 0usize;
     let mut batch_rects = 1usize;
-    let mut tile_width = 0usize;
     let mut deadline_ms: Option<u64> = None;
     let mut retries = 4u32;
     let mut delta_from: Option<String> = None;
@@ -402,10 +389,6 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             "--batch-rects" => match value(i).and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => batch_rects = n,
                 _ => return bad("--batch-rects must be a positive integer".into()),
-            },
-            "--tile-width" => match value(i).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => tile_width = n,
-                None => return bad("--tile-width must be a non-negative integer".into()),
             },
             "--deadline-ms" => match value(i).and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => deadline_ms = Some(n),
@@ -450,7 +433,6 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         ("procs".to_string(), Json::u64(procs as u64)),
         ("par_threads".to_string(), Json::u64(par_threads as u64)),
         ("batch_rects".to_string(), Json::u64(batch_rects as u64)),
-        ("tile_width".to_string(), Json::u64(tile_width as u64)),
     ];
     if let Some(ms) = deadline_ms {
         request.push(("deadline_ms".to_string(), Json::u64(ms)));
@@ -593,7 +575,6 @@ fn cmd_dist(args: &[String]) -> ExitCode {
         procs: workers.max(1),
         par_threads: 0,
         batch_rects: 1,
-        tile_width: 0,
         output: None,
         objective: "area".into(),
         run_cx: false,
@@ -653,7 +634,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         procs: 4,
         par_threads: 0,
         batch_rects: 1,
-        tile_width: 0,
         output: None,
         objective: "area".into(),
         run_cx: false,
@@ -684,10 +664,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             "--batch-rects" => match value(i).and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => opts.batch_rects = n,
                 _ => return bad("--batch-rects must be a positive integer".into()),
-            },
-            "--tile-width" => match value(i).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => opts.tile_width = n,
-                None => return bad("--tile-width must be a non-negative integer".into()),
             },
             "-o" | "--output" => match value(i) {
                 Some(v) => opts.output = Some(v.clone()),
@@ -732,7 +708,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     };
     extract_cfg.search.par_threads = opts.par_threads;
     extract_cfg.search.topk = opts.batch_rects;
-    extract_cfg.search.tile_width = opts.tile_width;
     let report = match opts.algorithm.as_str() {
         "seq" => extract_kernels(&mut work, &[], &extract_cfg),
         "replicated" => replicated_extract(
@@ -963,7 +938,6 @@ fn main() -> ExitCode {
     };
     extract_cfg.search.par_threads = opts.par_threads;
     extract_cfg.search.topk = opts.batch_rects;
-    extract_cfg.search.tile_width = opts.tile_width;
 
     let report = match opts.algorithm.as_str() {
         "seq" => extract_kernels(&mut work, &[], &extract_cfg),
